@@ -3,7 +3,7 @@
 For torus-invariant pairs on cyclic quotient surfaces both ideals are
 monomial, so agreement can be checked by exact generator-set equality.
 The harness runs the characteristic-zero computation once and the
-Frobenius fixed point once per prime, skipping wild primes p | r, and
+Frobenius fixed point once per prime, wild primes p | r included, and
 records the smallest tested prime from which agreement is unbroken.
 """
 

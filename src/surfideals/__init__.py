@@ -15,13 +15,11 @@ from .errors import (
     BadParameters,
     DomainError,
     InvalidModel,
-    KPlusDeltaNotQCartier,
     ModelFileError,
     NonEffectiveGamma,
     NotIntegral,
     NotNegativeDefinite,
     Unstabilized,
-    WildPrime,
 )
 from .resolution import (
     ExceptionalCurve,

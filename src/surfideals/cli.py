@@ -47,11 +47,13 @@ def emit(doc: dict) -> None:
 # -- model loading ----------------------------------------------------------
 
 
-def _parse_rat(value, where: str) -> Fraction:
+def _parse_rat(value, where: str, error: type[DomainError] = BadParameters) -> Fraction:
+    """Every user-given rational goes through here: a malformed one is a
+    domain error naming where it came from, never a traceback."""
     try:
         return rat(value)
-    except (TypeError, ValueError) as exc:
-        raise ModelFileError(f"{where}: bad rational {value!r} ({exc})") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise error(f"{where}: bad rational {value!r} ({exc})") from None
 
 
 def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, resolution.ResolutionModel]:
@@ -94,7 +96,7 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
                 resolution.Extra(
                     DivisorLabel(str(x["label"]), xkind),
                     tuple(int(m) for m in x["meets"]),
-                    _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward"),
+                    _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError),
                 )
             )
         return resolution.ResolutionModel(tuple(curve_objs), tuple(tuple(row) for row in matrix), tuple(extras))
@@ -133,13 +135,7 @@ def parse_boundary_divisor(model: toric.ToricSurfaceModel, text: str) -> Divisor
         return DivisorVector.zero()
     if text == "boundary":
         return model.boundary_divisor()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParameters(f"bad divisor {text!r}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise BadParameters("divisor must be a JSON object of ray coefficients")
-    return model.divisor({str(k): rat(v) for k, v in doc.items()})
+    return model.divisor(parse_coeff_map(text))
 
 
 def parse_coeff_map(text: str) -> dict[str, Fraction]:
@@ -149,7 +145,7 @@ def parse_coeff_map(text: str) -> dict[str, Fraction]:
         raise BadParameters(f"bad divisor {text!r}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise BadParameters("divisor must be a JSON object of coefficients")
-    return {str(k): rat(v) for k, v in doc.items()}
+    return {str(k): _parse_rat(v, f"coefficient of {k}") for k, v in doc.items()}
 
 
 def parse_primes(text: str) -> tuple[int, ...]:
@@ -214,14 +210,14 @@ def cmd_discrepancy(args) -> dict:
 def _pair_from_args(args) -> PairSpec:
     model = require_toric(load_model(args.model))
     z = parse_boundary_divisor(model, args.z)
-    return PairSpec(model, z, rat(args.lam))
+    return PairSpec(model, z, _parse_rat(args.lam, "--lambda"))
 
 
 def cmd_mult_ideal(args) -> dict:
     model = load_model(args.model)
     if isinstance(model, resolution.ResolutionModel):
         coeffs = parse_coeff_map(args.z) if args.z not in ("0",) else {}
-        d = multiplier.numerical_multiplier_divisor(model, coeffs, rat(args.lam))
+        d = multiplier.numerical_multiplier_divisor(model, coeffs, _parse_rat(args.lam, "--lambda"))
         return {"divisor": divisor_doc(d)}
     pair = _pair_from_args(args)
     return {"ideal": ideal_doc(multiplier.multiplier_ideal(pair))}
@@ -238,7 +234,7 @@ def cmd_jumps(args) -> dict:
     model = require_toric(load_model(args.model))
     z = parse_boundary_divisor(model, args.z)
     pair = PairSpec(model, z, Fraction(1))
-    jumps = multiplier.jumping_numbers(pair, rat(args.lam_max))
+    jumps = multiplier.jumping_numbers(pair, _parse_rat(args.lam_max, "--lambda-max"))
     return {"jumps": [{"lambda": frac_str(t), **ideal_doc(ideal)} for t, ideal in jumps]}
 
 
@@ -246,13 +242,12 @@ def cmd_test_ideal(args) -> dict:
     model = require_toric(load_model(args.model))
     z = parse_boundary_divisor(model, args.z)
     ctx = CharPContext(args.p, args.e_max)
-    detail = frobenius.test_ideal_detailed(model, ctx, z, rat(args.lam))
+    detail = frobenius.test_ideal_detailed(model, ctx, z, _parse_rat(args.lam, "--lambda"))
     return {
         "ideal": ideal_doc(detail.ideal),
         "p": args.p,
         "e_max": args.e_max,
         "sweeps": detail.sweeps,
-        "seeds_agreed": detail.seeds_agreed,
     }
 
 

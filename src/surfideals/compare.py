@@ -9,7 +9,8 @@ share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 
 A report never claims anything about untested primes: it records the
 smallest tested prime from which agreement is unbroken, and the verdict
-for each tested prime (including skips at wild primes p | r).
+for each tested prime.  Every prime is tested, p | r included: for toric
+pairs tau = J in every characteristic (Blickle 2004).
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from typing import Optional, Sequence
 
 from .divisors import DivisorVector, rat
 from .errors import Unstabilized
-from .frobenius import (
-    CharPContext,
-    boundary_containment_check,
-    numerical_containment_check,
-    test_ideal_detailed,
-)
+from .frobenius import CharPContext, boundary_containment_check, test_ideal_detailed
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import MonomialIdeal, ToricSurfaceModel, hj_resolve
 
@@ -40,7 +36,6 @@ EQUAL = "equal"
 MULTIPLIER_LARGER = "multiplier-strictly-larger"
 TEST_LARGER = "test-strictly-larger"
 INCOMPARABLE = "incomparable"
-SKIPPED = "skipped(p|r)"
 UNSTABLE = "unstabilized"
 
 
@@ -49,7 +44,6 @@ class PrimeVerdict:
     p: int
     verdict: str
     test_gens: Optional[tuple[tuple[int, int], ...]] = None
-    easy_inclusion: Optional[bool] = None
     boundary_check: Optional[bool] = None
     sweeps: Optional[int] = None
 
@@ -57,8 +51,6 @@ class PrimeVerdict:
         doc: dict = {"p": self.p, "verdict": self.verdict}
         if self.sweeps is not None:
             doc["sweeps"] = self.sweeps
-        if self.easy_inclusion is not None:
-            doc["easy_inclusion"] = self.easy_inclusion
         if self.boundary_check is not None:
             doc["boundary_containment"] = self.boundary_check
         if self.test_gens is not None:
@@ -74,7 +66,7 @@ class ComparisonReport:
     stable_from_prime: Optional[int]
 
     def all_equal(self) -> bool:
-        return all(v.verdict in (EQUAL, SKIPPED) for v in self.verdicts)
+        return all(v.verdict == EQUAL for v in self.verdicts)
 
     def to_dict(self) -> dict:
         return {
@@ -85,8 +77,8 @@ class ComparisonReport:
         }
 
 
-def pair_id(model: ToricSurfaceModel, z_kind: str, lam: Fraction) -> str:
-    return f"cyclic:{model.r}/{model.a}|z={z_kind}|lam={lam}"
+def pair_id(r: int, a: int, z_kind: str, lam: Fraction) -> str:
+    return f"cyclic:{r}/{a}|z={z_kind}|lam={lam}"
 
 
 def z_divisor(model: ToricSurfaceModel, z_kind: str) -> DivisorVector:
@@ -106,7 +98,7 @@ class CatalogEntry:
 
     @property
     def entry_id(self) -> str:
-        return f"cyclic:{self.r}/{self.a}|z={self.z_kind}|lam={self.lam}"
+        return pair_id(self.r, self.a, self.z_kind, self.lam)
 
     def model(self) -> ToricSurfaceModel:
         return hj_resolve(self.r, self.a)
@@ -144,23 +136,19 @@ def compare_pair(
     pair: PairSpec,
     primes: Sequence[int] = PRIMES_DEFAULT,
     e_max: int = 4,
-    pair_name: Optional[str] = None,
     with_checks: bool = True,
 ) -> ComparisonReport:
     """Run the multiplier/test comparison for one pair over a prime sweep.
 
-    Wild primes (p | r) are recorded as skipped; an unstabilized fixed
-    point (never observed on the catalog) is recorded without aborting
-    the sweep.
+    An unstabilized fixed point (never observed on the catalog) is
+    recorded without aborting the sweep.  tau included in J needs no
+    separate check: the verdict already decides it.
     """
     model = pair.model
     j = multiplier_ideal(pair)
     gamma_sample = model.boundary_divisor().scale(Fraction(1, 2))
     verdicts = []
     for p in sorted(primes):
-        if model.r % p == 0:
-            verdicts.append(PrimeVerdict(p, SKIPPED))
-            continue
         ctx = CharPContext(p, e_max)
         try:
             detail = test_ideal_detailed(model, ctx, pair.z, pair.lam)
@@ -169,24 +157,19 @@ def compare_pair(
             continue
         tau = detail.ideal
         verdict = _classify(j, tau)
-        easy = boundary = None
-        if with_checks:
-            easy = numerical_containment_check(model, ctx, pair.z, pair.lam)
-            boundary = boundary_containment_check(model, ctx, pair.z, pair.lam, gamma_sample)
+        boundary = boundary_containment_check(model, ctx, pair.z, pair.lam, gamma_sample) if with_checks else None
         verdicts.append(
             PrimeVerdict(
                 p,
                 verdict,
                 test_gens=tau.gens if verdict != EQUAL else None,
-                easy_inclusion=easy,
                 boundary_check=boundary,
                 sweeps=detail.sweeps,
             )
         )
-    computed = [v for v in verdicts if v.verdict not in (SKIPPED,)]
     stable_from = None
-    for v in computed:
-        if all(w.verdict == EQUAL for w in computed if w.p >= v.p):
+    for v in verdicts:
+        if all(w.verdict == EQUAL for w in verdicts if w.p >= v.p):
             stable_from = v.p
             break
     if pair.z.is_zero():
@@ -195,9 +178,9 @@ def compare_pair(
         z_kind = "boundary"
     else:
         z_kind = "custom"
-    name = pair_name or pair_id(model, z_kind, pair.lam)
+    name = pair_id(model.r, model.a, z_kind, pair.lam)
     return ComparisonReport(name, j.gens, tuple(verdicts), stable_from)
 
 
 def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT, e_max: int = 4) -> ComparisonReport:
-    return compare_pair(entry.pair(), primes=primes, e_max=e_max, pair_name=entry.entry_id)
+    return compare_pair(entry.pair(), primes=primes, e_max=e_max)

@@ -33,14 +33,6 @@ class NonEffectiveGamma(DomainError):
     pass
 
 
-class KPlusDeltaNotQCartier(DomainError):
-    pass
-
-
-class WildPrime(DomainError):
-    pass
-
-
 class Unstabilized(DomainError):
     pass
 

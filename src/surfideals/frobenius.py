@@ -12,10 +12,12 @@ smooth chart, and validated against the monomial closed form for test
 ideals on that chart.
 
 The test ideal of (X, W) is the smallest nonzero ideal closed under all
-such maps.  It is computed as a fixed point: seed with a torus-invariant
-test element, close upward under the (finitely many generating) trace
-maps for e = 1..E until two consecutive sweeps change nothing, run the
-closure from two independent seeds, and intersect.
+such maps.  It is computed as a fixed point: seed with a monomial proved
+to lie in every nonzero closed ideal (see `_seed`), and close upward
+under the (finitely many generating) trace maps for e = 1..E until a
+sweep changes nothing.  The monomial description of the maps holds on
+every affine toric ring (Payne 2009), so every prime p is allowed,
+including p dividing r.
 
 The depth cutoff E is adaptive.  Sweep-stability at a fixed depth cannot
 detect that a strictly deeper map would still enlarge the ideal (the
@@ -36,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import DivisorVector, RatLike, rat
-from .errors import InvalidModel, NonEffectiveGamma, Unstabilized, WildPrime
+from .errors import InvalidModel, NonEffectiveGamma, Unstabilized
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import (
     LEFT,
@@ -44,6 +46,7 @@ from .toric import (
     MonomialIdeal,
     Point,
     ToricSurfaceModel,
+    _ceildiv,
     dot,
     section_module_min_gens,
 )
@@ -82,10 +85,6 @@ class TraceMap:
 
     e: int
     twist: Point
-
-
-def _ceildiv(a: int, b: int) -> int:
-    return -((-a) // b)
 
 
 def _boundary_coeffs(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Fraction, Fraction]:
@@ -166,13 +165,32 @@ def boundary_monomial(model: ToricSurfaceModel) -> Point:
     return _lexmin_section(model, {LEFT: 1, RIGHT: 1})
 
 
-def _seed_monomials(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Point, Point]:
+def _seed(model: ToricSurfaceModel, w: DivisorVector) -> Point:
+    """A monomial x^s in tau(X, W), so that closure(x^s) = tau(X, W).
+
+    s = b + a, where b is the boundary monomial and a the least section
+    with <a, v> >= ceil(w_v) on both boundary rays v.
+
+    Lemma: x^a lies in every nonzero ideal I closed under the twisted
+    trace maps, hence x^s does too.  Pick f != 0 in I and a monomial x^u
+    of f; take e with p^e above every exponent difference in f and
+    p^e - 1 >= <u, v> on both rays, and put c = p^e a - u.  Since w_v >= 0,
+    ceil((p^e - 1) w_v) <= p^e ceil(w_v), so
+        <c, v> = p^e <a, v> - <u, v> >= p^e ceil(w_v) - (p^e - 1)
+               >= (1 - p^e) + ceil((p^e - 1) w_v),
+    and phi_c is an admissible map.  It kills every other monomial of f
+    (p^e does not divide its difference from u), so phi_c(f) is a nonzero
+    multiple of x^a, which therefore lies in I.
+
+    Hence x^s lies in tau(X, W), the closure of x^s is contained in tau,
+    and being a nonzero closed ideal it also contains tau (Schwede,
+    test ideals in non-Q-Gorenstein rings, 2011).  Any other seed in tau
+    gives the same ideal, so one closure is enough.
+    """
     wl, wr = _boundary_coeffs(model, w)
     above_w = _lexmin_section(model, {LEFT: max(0, math.ceil(wl)), RIGHT: max(0, math.ceil(wr))})
     b = boundary_monomial(model)
-    seed1 = (b[0] + above_w[0], b[1] + above_w[1])
-    seed2 = (seed1[0] + b[0], seed1[1] + b[1])
-    return seed1, seed2
+    return (b[0] + above_w[0], b[1] + above_w[1])
 
 
 def _multiplicative_order(p: int, n: int) -> int:
@@ -200,69 +218,53 @@ def _depth_period(model: ToricSurfaceModel, p: int, w: DivisorVector) -> tuple[i
     return k0, (_multiplicative_order(p, n) if n > 1 else 1)
 
 
-def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed: Point) -> tuple[MonomialIdeal, int, int]:
-    k0, period = _depth_period(model, ctx.p, w)
-    depth = max(ctx.e_max, k0 + 1)
-    depth_cap = max(depth + 8 * period, 60)
-    ideal = MonomialIdeal.from_points(model, [seed])
-    sweeps = 0
-    while True:
-        quiet = 0
-        while quiet < 2:
-            if sweeps >= _SWEEP_LIMIT:
-                raise Unstabilized(f"no fixed point after {_SWEEP_LIMIT} sweeps (depth={depth})")
-            changed = False
-            for e in range(1, depth + 1):
-                for tm in trace_maps(model, ctx, e, w):
-                    bigger = ideal.sum(trace_apply(model, ctx, tm, ideal))
-                    if bigger != ideal:
-                        ideal = bigger
-                        changed = True
-            sweeps += 1
-            quiet = 0 if changed else quiet + 1
-        grew = False
-        for e in range(depth + 1, depth + period + 1):
-            for tm in trace_maps(model, ctx, e, w):
-                bigger = ideal.sum(trace_apply(model, ctx, tm, ideal))
-                if bigger != ideal:
-                    ideal = bigger
-                    grew = True
-        if not grew:
-            return ideal, sweeps, depth
-        depth += period
-        if depth > depth_cap:
-            raise Unstabilized(f"fixed point keeps moving past depth {depth_cap}")
+def _sweep(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, ideal: MonomialIdeal, depths: range) -> tuple[MonomialIdeal, bool]:
+    """Add the image of every trace map of the given depths, and say
+    whether the ideal changed.  An unchanged ideal keeps its object, so
+    the trace-image cache keys share one generator tuple."""
+    grown = ideal
+    for e in depths:
+        for tm in trace_maps(model, ctx, e, w):
+            bigger = grown.sum(trace_apply(model, ctx, tm, grown))
+            if bigger != grown:
+                grown = bigger
+    return grown, grown is not ideal
 
 
 @dataclass(frozen=True)
 class TestIdealResult:
     ideal: MonomialIdeal
     sweeps: int
-    seeds_agreed: bool
-    depth_used: int = 0
+    depth_used: int
 
 
-def _check_tame(model: ToricSurfaceModel, p: int) -> None:
-    if model.r % p == 0:
-        raise WildPrime(f"p = {p} divides r = {model.r}; wild quotients are out of scope")
+def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed: Point) -> TestIdealResult:
+    """Close the seed's ideal upward.  A sweep that changes nothing shows
+    the ideal is closed under every map of depth <= the cutoff (the sweep
+    is deterministic, so repeating it cannot change anything either)."""
+    k0, period = _depth_period(model, ctx.p, w)
+    depth = max(ctx.e_max, k0 + 1)
+    depth_cap = max(depth + 8 * period, 60)
+    ideal = MonomialIdeal.from_points(model, [seed])
+    sweeps = 0
+    while True:
+        changed = True
+        while changed:
+            if sweeps >= _SWEEP_LIMIT:
+                raise Unstabilized(f"no fixed point after {_SWEEP_LIMIT} sweeps (depth={depth})")
+            ideal, changed = _sweep(model, ctx, w, ideal, range(1, depth + 1))
+            sweeps += 1
+        ideal, grew = _sweep(model, ctx, w, ideal, range(depth + 1, depth + period + 1))
+        if not grew:
+            return TestIdealResult(ideal, sweeps, depth)
+        depth += period
+        if depth > depth_cap:
+            raise Unstabilized(f"fixed point keeps moving past depth {depth_cap}")
 
 
 @lru_cache(maxsize=None)
 def _test_ideal_cached(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> TestIdealResult:
-    _check_tame(model, ctx.p)
-    seed1, seed2 = _seed_monomials(model, w)
-    ideal1, sweeps1, depth1 = _closure(model, ctx, w, seed1)
-    ideal2, sweeps2, depth2 = _closure(model, ctx, w, seed2)
-    agreed = ideal1 == ideal2
-    result = ideal1 if agreed else ideal1.intersect(ideal2)
-    depth = max(depth1, depth2)
-    if not agreed:
-        # The intersection of trace-closed ideals is trace-closed; verify.
-        for e in range(1, depth + 1):
-            for tm in trace_maps(model, ctx, e, w):
-                if not trace_apply(model, ctx, tm, result).issubset(result):
-                    raise Unstabilized("seed closures disagree and their intersection is not stable")
-    return TestIdealResult(result, max(sweeps1, sweeps2), agreed, depth)
+    return _closure(model, ctx, w, _seed(model, w))
 
 
 def test_ideal_detailed(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> TestIdealResult:

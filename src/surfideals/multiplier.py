@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import DivisorVector, RatLike, rat
-from .errors import InvalidModel, KPlusDeltaNotQCartier, NonEffectiveGamma
+from .errors import InvalidModel, NonEffectiveGamma
 from .resolution import relative_canonical
 from .toric import (
     MonomialIdeal,
@@ -29,10 +29,6 @@ from .toric import (
     support_function,
     to_resolution,
 )
-
-# Q-Cartier certification searches multiples up to this factor times r.
-_INDEX_SEARCH_FACTOR = math.lcm(*range(1, 25))
-
 
 @dataclass(frozen=True)
 class PairSpec:
@@ -51,10 +47,6 @@ class PairSpec:
         boundary = set(self.model.boundary_labels)
         if any(l not in boundary for l in self.z.support):
             raise InvalidModel("Z must be supported on the boundary rays")
-        bl, br = self.model.boundary_labels
-        ell = support_function(self.model, self.z.coeff(bl), self.z.coeff(br))
-        if math.lcm(ell[0].denominator, ell[1].denominator) > _INDEX_SEARCH_FACTOR * self.model.r:
-            raise InvalidModel("Z admits no integral support function within the search bound")
 
     def scaled_z(self) -> DivisorVector:
         return self.z.scale(self.lam)
@@ -82,20 +74,12 @@ def multiplier_m_limiting(pair: PairSpec, m: int) -> MonomialIdeal:
     return pushforward_sections(pair.model, d)
 
 
-def _certify_q_cartier(model: ToricSurfaceModel, ell: tuple[Fraction, Fraction]) -> None:
-    index = math.lcm(ell[0].denominator, ell[1].denominator)
-    if index > _INDEX_SEARCH_FACTOR * model.r:
-        raise KPlusDeltaNotQCartier(
-            f"no integral support function at any multiple <= lcm(1..24)*r (index {index})"
-        )
-
-
 def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialIdeal:
     """Classical multiplier ideal of ((X, Delta), lambda Z).
 
-    Delta is an effective boundary-supported Q-divisor making K_X + Delta
-    Q-Cartier (automatic on these models; certified by the integrality of
-    a bounded multiple of the support function).
+    Delta is an effective boundary-supported Q-divisor; K_X + Delta is
+    then Q-Cartier, as every torus-invariant Q-divisor on an affine toric
+    surface is (its support function ell is linear).
     """
     model = pair.model
     boundary = set(model.boundary_labels)
@@ -108,7 +92,6 @@ def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialId
     c_left = Fraction(-1) + delta.coeff(bl) + w.coeff(bl)
     c_right = Fraction(-1) + delta.coeff(br) + w.coeff(br)
     ell = support_function(model, c_left, c_right)
-    _certify_q_cartier(model, ell)
     pull = DivisorVector(
         [(label, ell[0] * vec[0] + ell[1] * vec[1]) for label, vec in model.rays()]
     )

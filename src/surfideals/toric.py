@@ -50,6 +50,22 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
+def _minimal_points(pts: Iterable[tuple[int, int, Point]]) -> tuple[Point, ...]:
+    """The points u of the minimal (s, t) pairs, (s, t) = (<u, v_left>,
+    <u, v_right>), lexicographically sorted.
+
+    After sorting by (s, t), a pair is minimal iff its t is below every
+    earlier t; (s, t) determines u, so equal pairs are duplicates.
+    """
+    gens = []
+    best_t = math.inf
+    for _, t, u in sorted(pts):
+        if t < best_t:
+            gens.append(u)
+            best_t = t
+    return tuple(sorted(gens))
+
+
 def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
     """Expansion num/den = b_1 - 1/(b_2 - 1/(...)) with all b_i >= 2."""
     if den <= 0 or num <= den or math.gcd(num, den) != 1:
@@ -263,18 +279,7 @@ def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[s
             if all(dot(u, vec) >= c for vec, c, _, _ in exc):
                 pts.append((s, t, u))
 
-    pts.sort()
-    gens = []
-    best_t = None
-    cur_s = None
-    for s, t, u in pts:
-        if s == cur_s:
-            continue
-        cur_s = s
-        if best_t is None or t < best_t:
-            gens.append(u)
-            best_t = t
-    return tuple(sorted(gens))
+    return _minimal_points(pts)
 
 
 # -- monomial ideals -------------------------------------------------------
@@ -299,18 +304,7 @@ class MonomialIdeal:
             if not model.in_monoid(u):
                 raise InvalidModel(f"generator {u} lies outside the coordinate monoid")
             pts.add((dot(u, model.v_left), dot(u, model.v_right), u))
-        ordered = sorted(pts)
-        gens = []
-        best_t = None
-        cur_s = None
-        for s, t, u in ordered:
-            if s == cur_s:
-                continue
-            cur_s = s
-            if best_t is None or t < best_t:
-                gens.append(u)
-                best_t = t
-        return cls(model, tuple(sorted(gens)))
+        return cls(model, _minimal_points(pts))
 
     @classmethod
     def unit(cls, model: ToricSurfaceModel) -> "MonomialIdeal":

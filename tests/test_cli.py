@@ -54,7 +54,20 @@ def test_test_ideal_smooth_chart(capsys):
     )
     assert code == 0
     assert doc["ideal"]["generators"] == [[1, 0]]
-    assert doc["seeds_agreed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mult-ideal", "cyclic:3/1", "--lambda", "abc"),
+        ("test-ideal", "cyclic:3/1", "--lambda", "1/0", "--p", "5"),
+        ("mult-ideal", "cyclic:3/1", "--z", '{"BR": 1.5}'),
+    ],
+)
+def test_bad_rationals_are_bad_parameters(capsys, argv):
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "BadParameters"
 
 
 def test_compare_single_pair(capsys):

@@ -37,17 +37,16 @@ def test_a1_zero_pair_unit_on_odd_primes():
     pair = PairSpec(model, DivisorVector.zero(), Fraction(0))
     report = compare_pair(pair, primes=(2, 3, 5, 7, 11, 13))
     by_p = {v.p: v.verdict for v in report.verdicts}
-    assert by_p[2] == "skipped(p|r)"
+    assert by_p[2] == "equal"
     assert all(by_p[p] == "equal" for p in (3, 5, 7, 11, 13))
     assert report.multiplier_gens == ((0, 0),)
-    assert report.stable_from_prime == 3
+    assert report.stable_from_prime == 2
 
 
 def test_checks_are_recorded():
     entry = CatalogEntry(5, 2, "boundary", Fraction(2, 3))
     report = compare_entry(entry, primes=(2, 3))
     for v in report.verdicts:
-        assert v.easy_inclusion is True
         assert v.boundary_check is True
         assert v.sweeps >= 1
 

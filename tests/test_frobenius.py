@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from surfideals.compare import CATALOG_R_MAX
 from surfideals.divisors import DivisorVector
-from surfideals.errors import InvalidModel, NonEffectiveGamma, WildPrime
+from surfideals.errors import InvalidModel, NonEffectiveGamma
 from surfideals.frobenius import (
     CharPContext,
+    _closure,
+    _seed,
     boundary_containment_check,
     boundary_monomial,
     numerical_containment_check,
@@ -108,19 +111,29 @@ def test_quotients_with_no_divisor_are_f_regular():
     assert tau(THIRD, CharPContext(5), DivisorVector.zero(), 0).is_unit()
 
 
-def test_wild_prime_rejected():
-    with pytest.raises(WildPrime):
-        tau(A1, CharPContext(2), DivisorVector.zero(), 0)
-    with pytest.raises(WildPrime):
-        tau(THIRD, CharPContext(3), DivisorVector.zero(), 0)
+def test_wild_primes_agree_with_multiplier_ideal():
+    # p | r is in scope: tau = J for toric pairs in every characteristic
+    for model, p in ((A1, 2), (THIRD, 3)):
+        t = tau(model, CharPContext(p), DivisorVector.zero(), 0)
+        assert t == multiplier_ideal(PairSpec(model, DivisorVector.zero(), Fraction(0)))
+        assert t.is_unit()
 
 
-def test_seed_independence_reported():
-    z = hj_resolve(5, 2).boundary_divisor()
-    detail = tau_detailed(hj_resolve(5, 2), CharPContext(3), z, Fraction(2, 3))
-    assert detail.seeds_agreed
-    assert detail.sweeps >= 1
-    assert detail.depth_used >= 4
+def test_seed_independence_over_catalog():
+    # the seed lies in tau, so a deeper seed (times the boundary monomial)
+    # closes up to the same ideal, wild primes included
+    models = [hj_resolve(r, a) for r in range(2, CATALOG_R_MAX + 1) for a in range(1, r) if math.gcd(r, a) == 1]
+    for model in models:
+        b = boundary_monomial(model)
+        for lam in (Fraction(1, 2), Fraction(5, 4)):
+            w = model.boundary_divisor().scale(lam)
+            seed = _seed(model, w)
+            deeper = (seed[0] + b[0], seed[1] + b[1])
+            for p in (2, 3):
+                ctx = CharPContext(p)
+                detail = tau_detailed(model, ctx, model.boundary_divisor(), lam)
+                assert detail.ideal == _closure(model, ctx, w, deeper).ideal, (model, lam, p)
+                assert detail.sweeps >= 1 and detail.depth_used >= 4
 
 
 def test_adaptive_depth_reaches_the_fixed_point():
