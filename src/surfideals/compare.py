@@ -136,7 +136,6 @@ def compare_pair(
     pair: PairSpec,
     primes: Sequence[int] = PRIMES_DEFAULT,
     e_max: int = 4,
-    with_checks: bool = True,
 ) -> ComparisonReport:
     """Run the multiplier/test comparison for one pair over a prime sweep.
 
@@ -157,7 +156,7 @@ def compare_pair(
             continue
         tau = detail.ideal
         verdict = _classify(j, tau)
-        boundary = boundary_containment_check(model, ctx, pair.z, pair.lam, gamma_sample) if with_checks else None
+        boundary = boundary_containment_check(model, ctx, pair.z, pair.lam, gamma_sample)
         verdicts.append(
             PrimeVerdict(
                 p,

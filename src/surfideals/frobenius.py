@@ -13,11 +13,12 @@ ideals on that chart.
 
 The test ideal of (X, W) is the smallest nonzero ideal closed under all
 such maps.  It is computed as a fixed point: seed with a monomial proved
-to lie in every nonzero closed ideal (see `_seed`), and close upward
-under the (finitely many generating) trace maps for e = 1..E until a
-sweep changes nothing.  The monomial description of the maps holds on
-every affine toric ring (Payne 2009), so every prime p is allowed,
-including p dividing r.
+to lie in every nonzero closed ideal (see `_seed`), and add, for each
+depth e = 1..E, the image of the ideal under all depth-e maps at once,
+until a sweep changes nothing.  That image is one corner module per
+generator (the lemma in `_trace_image_cached`).  The monomial description
+of the maps holds on every affine toric ring (Payne 2009), so every
+prime p is allowed, including p dividing r.
 
 The depth cutoff E is adaptive.  Sweep-stability at a fixed depth cannot
 detect that a strictly deeper map would still enlarge the ideal (the
@@ -40,29 +41,14 @@ from functools import lru_cache
 from .divisors import DivisorVector, RatLike, rat
 from .errors import InvalidModel, NonEffectiveGamma, Unstabilized
 from .multiplier import PairSpec, multiplier_ideal
-from .toric import (
-    LEFT,
-    RIGHT,
-    MonomialIdeal,
-    Point,
-    ToricSurfaceModel,
-    _ceildiv,
-    dot,
-    section_module_min_gens,
-)
+from .toric import LEFT, RIGHT, MonomialIdeal, Pair, Point, ToricSurfaceModel
+from .toric import _ceildiv, _minimal_stairs, corner_stairs, section_module_min_gens
 
 _SWEEP_LIMIT = 64
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -96,24 +82,20 @@ def _boundary_coeffs(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Fracti
     return (w.coeff(bl), w.coeff(br))
 
 
-@lru_cache(maxsize=None)
-def _trace_maps_cached(model: ToricSurfaceModel, p: int, e: int, wl: Fraction, wr: Fraction) -> tuple[TraceMap, ...]:
-    pe = p**e
-    bounds = {
-        LEFT: (1 - pe) + math.ceil((pe - 1) * wl),
-        RIGHT: (1 - pe) + math.ceil((pe - 1) * wr),
-    }
-    return tuple(TraceMap(e, c) for c in section_module_min_gens(model, bounds))
+def _twist_bounds(q: int, wl: Fraction, wr: Fraction) -> Pair:
+    """The boundary bounds b_v = (1 - q) + ceil((q - 1) w_v) of the module
+    T_e of depth-e twists, q = p^e."""
+    return ((1 - q) + math.ceil((q - 1) * wl), (1 - q) + math.ceil((q - 1) * wr))
 
 
 def trace_maps(model: ToricSurfaceModel, ctx: CharPContext, e: int, w: DivisorVector) -> tuple[TraceMap, ...]:
-    """Generators of the module of depth-e trace maps twisted by W.
+    """Generators of the module T_e of depth-e trace maps twisted by W.
 
     Every admissible map is a monomial multiple of one of these, so
     closure under the returned maps is closure under all of them.
     """
-    wl, wr = _boundary_coeffs(model, w)
-    return _trace_maps_cached(model, ctx.p, e, wl, wr)
+    b_left, b_right = _twist_bounds(ctx.p**e, *_boundary_coeffs(model, w))
+    return tuple(TraceMap(e, c) for c in section_module_min_gens(model, {LEFT: b_left, RIGHT: b_right}))
 
 
 def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
@@ -126,30 +108,31 @@ def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
 
 
 @lru_cache(maxsize=None)
-def _trace_image_cached(model: ToricSurfaceModel, p: int, tm: TraceMap, gens: tuple[Point, ...]) -> tuple[Point, ...]:
-    pe = p**tm.e
-    pts: list[Point] = []
-    for u in gens:
-        shifted = (u[0] + tm.twist[0], u[1] + tm.twist[1])
-        bounds = {
-            LEFT: max(0, _ceildiv(dot(shifted, model.v_left), pe)),
-            RIGHT: max(0, _ceildiv(dot(shifted, model.v_right), pe)),
-        }
-        pts.extend(section_module_min_gens(model, bounds))
-    return MonomialIdeal.from_points(model, pts).gens
+def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    """The ideal of the x^w with <w, v> >= ceil((<u, v> + b_v) / q) on both
+    boundary rays v, over the stairs u; b = `bounds`, q = p^e.  With
+    b = <c, v> it is the image under phi_c (phi_c(x^(u+m)) = x^w, m in S,
+    iff q w - u - c lies in S).
+
+    Lemma: with b = b(e), the bounds of the twist module T_e, it is the
+    image under all depth-e maps at once.  x^w lies in the image of x^u S
+    under some depth-e map iff q w - u = c + m with c in T_e and m in S,
+    iff q w - u lies in T_e + S = T_e (`trace_maps(e)` generates the
+    S-module T_e), iff <w, v> >= ceil((<u, v> + b_v(e)) / q) on both rays.
+    """
+    b_left, b_right = bounds
+    pairs: list[Pair] = []
+    for s, t in stairs:
+        pairs.extend(corner_stairs(model, max(0, _ceildiv(s + b_left, q)), max(0, _ceildiv(t + b_right, q))))
+    return _minimal_stairs(pairs)
 
 
 def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal: MonomialIdeal) -> MonomialIdeal:
-    """Image ideal phi(F^e_* I) for a nonzero monomial ideal I.
-
-    For a generator x^u of I the values of phi on u + S sweep out the
-    sections w with <w, v> >= ceil(<u + c, v> / p^e) on both boundary
-    rays; the image ideal is generated by the minimal such sections over
-    all generators.
-    """
+    """Image ideal phi(F^e_* I) for a nonzero monomial ideal I, by
+    `_trace_image_cached` at the bounds b = <c, v>."""
     if ideal.is_zero():
         raise InvalidModel("trace image of the zero ideal is not defined")
-    return MonomialIdeal(model, _trace_image_cached(model, ctx.p, tm, ideal.gens))
+    return MonomialIdeal(model, _trace_image_cached(model, ctx.p**tm.e, model.pairing(tm.twist), ideal.stairs))
 
 
 # -- test ideals -----------------------------------------------------------
@@ -219,15 +202,17 @@ def _depth_period(model: ToricSurfaceModel, p: int, w: DivisorVector) -> tuple[i
 
 
 def _sweep(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, ideal: MonomialIdeal, depths: range) -> tuple[MonomialIdeal, bool]:
-    """Add the image of every trace map of the given depths, and say
-    whether the ideal changed.  An unchanged ideal keeps its object, so
-    the trace-image cache keys share one generator tuple."""
+    """Add, depth by depth, the image of the ideal under every trace map
+    of that depth, and say whether the ideal changed.  An unchanged ideal
+    keeps its object, so the trace-image cache keys share one staircase."""
+    wl, wr = _boundary_coeffs(model, w)
     grown = ideal
     for e in depths:
-        for tm in trace_maps(model, ctx, e, w):
-            bigger = grown.sum(trace_apply(model, ctx, tm, grown))
-            if bigger != grown:
-                grown = bigger
+        q = ctx.p**e
+        image = _trace_image_cached(model, q, _twist_bounds(q, wl, wr), grown.stairs)
+        bigger = grown.sum(MonomialIdeal(model, image))
+        if bigger != grown:
+            grown = bigger
     return grown, grown is not ideal
 
 

@@ -15,17 +15,20 @@ to a single -3 curve, and 1/r(1,r-1) to a chain of r-1 curves of
 self-intersection -2.
 
 Monomials live in the dual lattice M = Z^2 with the standard pairing;
-ord_{D_v}(x^u) = <u, v>.  Ideals and section modules of torus-invariant
-divisors are represented by their finite minimal generating antichains,
-found by bounded lattice enumeration (exact, desk scale).
+ord_{D_v}(x^u) = <u, v>.  Ideals and section modules are stored as
+staircases in pairing coordinates (s, t) = (<u, v_left>, <u, v_right>),
+found by a 1-D scan over s (exact, no 2-D enumeration); exponent vectors
+u appear only in `gens` and `section_module_min_gens`.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
@@ -33,12 +36,13 @@ from .errors import BadParameters, InvalidModel, NotIntegral
 from .resolution import ExceptionalCurve, Extra, ResolutionModel
 
 Point = tuple[int, int]
+Pair = tuple[int, int]  # (s, t) = (<u, v_left>, <u, v_right>)
 
 LEFT = "BL"
 RIGHT = "BR"
 
-# Hard cap on lattice points visited by one enumeration; generous for the
-# desk-scale inputs this library targets (r <= 12, coefficients <= ~40).
+# Hard cap on the s values one section scan visits (at most |det| past
+# its last binding constraint): only inputs far past desk scale reach it.
 ENUMERATION_LIMIT = 4_000_000
 
 
@@ -50,20 +54,19 @@ def dot(u: Sequence[int], v: Sequence[int]) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def _minimal_points(pts: Iterable[tuple[int, int, Point]]) -> tuple[Point, ...]:
-    """The points u of the minimal (s, t) pairs, (s, t) = (<u, v_left>,
-    <u, v_right>), lexicographically sorted.
+def _minimal_stairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
+    """The minimal pairs of a finite set of (s, t), sorted by s.
 
-    After sorting by (s, t), a pair is minimal iff its t is below every
-    earlier t; (s, t) determines u, so equal pairs are duplicates.
+    After sorting, a pair is minimal iff its t is below every earlier t;
+    (s, t) determines u, so equal pairs are duplicates.
     """
-    gens = []
+    stairs = []
     best_t = math.inf
-    for _, t, u in sorted(pts):
+    for s, t in sorted(pairs):
         if t < best_t:
-            gens.append(u)
+            stairs.append((s, t))
             best_t = t
-    return tuple(sorted(gens))
+    return tuple(stairs)
 
 
 def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
@@ -107,10 +110,7 @@ class ToricSurfaceModel:
     def rays(self) -> tuple[tuple[DivisorLabel, Point], ...]:
         """All rays of the resolution fan, left boundary to right boundary."""
         bl, br = self.boundary_labels
-        pairs = [(bl, self.v_left)]
-        pairs += list(zip(self.exceptional_labels, self.exceptional_rays))
-        pairs.append((br, self.v_right))
-        return tuple(pairs)
+        return ((bl, self.v_left),) + tuple(zip(self.exceptional_labels, self.exceptional_rays)) + ((br, self.v_right),)
 
     def ray(self, name: str) -> Point:
         for label, vec in self.rays():
@@ -132,8 +132,21 @@ class ToricSurfaceModel:
         bl, br = self.boundary_labels
         return DivisorVector([(bl, 1), (br, 1)])
 
+    @property
+    def det(self) -> int:
+        return self.v_left[0] * self.v_right[1] - self.v_left[1] * self.v_right[0]
+
+    def pairing(self, u: Point) -> Pair:
+        """Pairing coordinates (s, t) of the monomial x^u."""
+        return (dot(u, self.v_left), dot(u, self.v_right))
+
+    def point(self, pair: Pair) -> Point:
+        """The lattice point u with pairing coordinates `pair`."""
+        (s, t), (l0, l1), (r0, r1) = pair, self.v_left, self.v_right
+        return ((s * r1 - t * l1) // self.det, (t * l0 - s * r0) // self.det)
+
     def in_monoid(self, u: Point) -> bool:
-        return dot(u, self.v_left) >= 0 and dot(u, self.v_right) >= 0
+        return min(self.pairing(u)) >= 0
 
     def __str__(self) -> str:
         return f"cyclic:{self.r}/{self.a}"
@@ -169,9 +182,8 @@ def support_function(model: ToricSurfaceModel, c_left: Fraction, c_right: Fracti
     <ell, v_right> = c_right.  Unique since the boundary rays are a basis
     of N_Q; its denominators certify Q-Cartier indices."""
     vl, vr = model.v_left, model.v_right
-    det = vl[0] * vr[1] - vl[1] * vr[0]
-    l0 = Fraction(c_left * vr[1] - c_right * vl[1], 1) / det
-    l1 = Fraction(vl[0] * c_right - vr[0] * c_left, 1) / det
+    l0 = Fraction(c_left * vr[1] - c_right * vl[1]) / model.det
+    l1 = Fraction(vl[0] * c_right - vr[0] * c_left) / model.det
     return (l0, l1)
 
 
@@ -233,53 +245,57 @@ def section_module_min_gens(model: ToricSurfaceModel, bounds: Mapping[str, int])
     Both boundary rays must be constrained (otherwise the solution set is
     not finitely generated over the monoid).  Minimality is with respect
     to divisibility in S = sigma-dual cap M, i.e. dominance of both
-    boundary pairings.
+    boundary pairings.  The generators are sorted lexicographically.
     """
     if LEFT not in bounds or RIGHT not in bounds:
         raise InvalidModel("section bounds must constrain both boundary rays")
-    return _section_min_gens_cached(model, tuple(sorted((str(k), int(v)) for k, v in bounds.items())))
+    stairs = _section_min_gens_cached(model, tuple(sorted((str(k), int(v)) for k, v in bounds.items())))
+    return tuple(sorted(map(model.point, stairs)))
+
+
+def corner_stairs(model: ToricSurfaceModel, s_min: int, t_min: int) -> tuple[Pair, ...]:
+    """Staircase of the corner module {u : s >= s_min, t >= t_min}."""
+    return _section_min_gens_cached(model, ((LEFT, s_min), (RIGHT, t_min)))
 
 
 @lru_cache(maxsize=None)
-def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[str, int], ...]) -> tuple[Point, ...]:
+def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[str, int], ...]) -> tuple[Pair, ...]:
+    """Staircase of a section module, by a scan over s.
+
+    For an exceptional ray v = (A v_left + B v_right) / |det| (A, B > 0),
+    <u, v> >= c reads A s + B t >= c |det|.  Each s takes the largest of
+    these lower bounds on t, rounded up into the lattice class
+    t = s * v_right[1] (mod |det|) (as v_left = (0, 1)).
+    """
     bounds = dict(bounds_key)
-    vl, vr = model.v_left, model.v_right
-    det = vl[0] * vr[1] - vl[1] * vr[0]
-    step = abs(det)
+    vr, sign, step = model.v_right, (1 if model.det > 0 else -1), abs(model.det)
     c_left = bounds.pop(LEFT)
     c_right = bounds.pop(RIGHT)
-
     exc = []
     for name, c in bounds.items():
         vec = model.ray(name)
-        alpha = Fraction(vec[0] * vr[1] - vec[1] * vr[0], det)
-        beta = Fraction(vl[0] * vec[1] - vl[1] * vec[0], det)
+        alpha = sign * (vec[0] * vr[1] - vec[1] * vr[0])
+        beta = sign * (model.v_left[0] * vec[1] - model.v_left[1] * vec[0])
         if alpha <= 0 or beta <= 0:
             raise InvalidModel(f"ray {name!r} is not interior to the cone")
-        exc.append((vec, c, alpha, beta))
+        exc.append((c * step, alpha, beta))
 
-    # Every minimal element u has  <u, v_left> <= s_cap  and
-    # <u, v_right> <= t_cap:  it realizes the least v_right-pairing among
-    # module points with its v_left-pairing (and vice versa), and those
-    # minima are bounded by the constraint data plus one lattice step.
-    s_cap = max([c_left] + [math.ceil((c - beta * c_right) / alpha) for _, c, alpha, beta in exc]) + step
-    t_cap = max([c_right] + [math.ceil((c - alpha * c_left) / beta) for _, c, alpha, beta in exc]) + step
-
-    if (s_cap - c_left + 1) * (t_cap - c_right + 1) > ENUMERATION_LIMIT:
+    # From s_free on t = c_right is allowed; s * v_right[1] runs through
+    # every class mod |det|, so t = c_right, the least t of all, comes
+    # within |det| more steps and nothing after it is minimal.
+    s_free = max([c_left] + [_ceildiv(cs - beta * c_right, alpha) for cs, alpha, beta in exc])
+    if s_free + step - c_left > ENUMERATION_LIMIT:
         raise InvalidModel("section enumeration exceeds the desk-scale bound")
-
-    pts = []
-    for s in range(c_left, s_cap + 1):
-        for t in range(c_right, t_cap + 1):
-            num0 = s * vr[1] - t * vl[1]
-            num1 = t * vl[0] - s * vr[0]
-            if num0 % det or num1 % det:
-                continue
-            u = (num0 // det, num1 // det)
-            if all(dot(u, vec) >= c for vec, c, _, _ in exc):
-                pts.append((s, t, u))
-
-    return _minimal_points(pts)
+    pairs = []
+    for s in range(c_left, s_free + step):
+        t = c_right
+        for cs, alpha, beta in exc:
+            t = max(t, _ceildiv(cs - alpha * s, beta))
+        t += (s * vr[1] - t) % step
+        pairs.append((s, t))
+        if t == c_right:
+            break
+    return _minimal_stairs(pairs)
 
 
 # -- monomial ideals -------------------------------------------------------
@@ -287,71 +303,71 @@ def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[s
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """Monomial ideal in the coordinate monoid of X, as its minimal antichain.
-
-    The generator list is lexicographically sorted; ((0, 0),) is the unit
-    ideal.  All comparisons are exact generator-set comparisons.
-    """
+    """Monomial ideal in the coordinate monoid of X, as its staircase: the
+    minimal pairs (s, t) of its generators, sorted by s; ((0, 0),) is the
+    unit ideal.  All comparisons are exact staircase comparisons."""
 
     model: ToricSurfaceModel
-    gens: tuple[Point, ...]
+    stairs: tuple[Pair, ...]
+
+    @property
+    def gens(self) -> tuple[Point, ...]:
+        """The minimal generators u, lexicographically sorted."""
+        return tuple(sorted(map(self.model.point, self.stairs)))
 
     @classmethod
     def from_points(cls, model: ToricSurfaceModel, points: Iterable[Point]) -> "MonomialIdeal":
-        pts = set()
+        pairs = []
         for u in points:
             u = (int(u[0]), int(u[1]))
             if not model.in_monoid(u):
                 raise InvalidModel(f"generator {u} lies outside the coordinate monoid")
-            pts.add((dot(u, model.v_left), dot(u, model.v_right), u))
-        return cls(model, _minimal_points(pts))
+            pairs.append(model.pairing(u))
+        return cls(model, _minimal_stairs(pairs))
 
     @classmethod
     def unit(cls, model: ToricSurfaceModel) -> "MonomialIdeal":
         return cls(model, ((0, 0),))
 
     def is_unit(self) -> bool:
-        return self.gens == ((0, 0),)
+        return self.stairs == ((0, 0),)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.stairs
+
+    def _contains_pair(self, s: int, t: int) -> bool:
+        # the last stair with s_i <= s has the least t among them
+        i = bisect_right(self.stairs, s, key=itemgetter(0))
+        return i > 0 and self.stairs[i - 1][1] <= t
 
     def contains_point(self, u: Point) -> bool:
-        return any(
-            dot(u, self.model.v_left) >= dot(g, self.model.v_left)
-            and dot(u, self.model.v_right) >= dot(g, self.model.v_right)
-            for g in self.gens
-        )
+        return self._contains_pair(*self.model.pairing(u))
 
     def issubset(self, other: "MonomialIdeal") -> bool:
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")
-        return all(other.contains_point(g) for g in self.gens)
+        return all(other._contains_pair(s, t) for s, t in self.stairs)
 
     def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")
-        return MonomialIdeal.from_points(self.model, self.gens + other.gens)
+        return MonomialIdeal(self.model, _minimal_stairs(self.stairs + other.stairs))
 
     def shift(self, u: Point) -> "MonomialIdeal":
         """Multiply by the monomial x^u."""
         if not self.model.in_monoid(u):
             raise InvalidModel(f"{u} is not a monomial of the coordinate ring")
-        return MonomialIdeal(self.model, tuple(sorted((g[0] + u[0], g[1] + u[1]) for g in self.gens)))
+        ds, dt = self.model.pairing(u)
+        return MonomialIdeal(self.model, tuple((s + ds, t + dt) for s, t in self.stairs))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")
-        model = self.model
-        pts: list[Point] = []
-        for g in self.gens:
-            for h in other.gens:
-                bounds = {
-                    LEFT: max(dot(g, model.v_left), dot(h, model.v_left)),
-                    RIGHT: max(dot(g, model.v_right), dot(h, model.v_right)),
-                }
-                pts.extend(section_module_min_gens(model, bounds))
-        return MonomialIdeal.from_points(model, pts)
+        pairs: list[Pair] = []
+        for s1, t1 in self.stairs:
+            for s2, t2 in other.stairs:
+                pairs.extend(corner_stairs(self.model, max(s1, s2), max(t1, t2)))
+        return MonomialIdeal(self.model, _minimal_stairs(pairs))
 
 
 def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> MonomialIdeal:
@@ -370,8 +386,7 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
         bounds[label.name] = -int(c)
     for name in (LEFT, RIGHT):
         bounds[name] = max(0, bounds.get(name, 0))
-    gens = section_module_min_gens(model, bounds)
-    return MonomialIdeal(model, gens)
+    return MonomialIdeal(model, _section_min_gens_cached(model, tuple(sorted(bounds.items()))))
 
 
 def fractional_canonical_pullback(model: ToricSurfaceModel, m: int) -> DivisorVector:

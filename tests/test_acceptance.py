@@ -5,6 +5,7 @@ lines; the whole suite is exact (no tolerances anywhere: every assertion
 is equality or containment of exact rational/lattice data).
 """
 
+import hashlib
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from surfideals.resolution import (
 from surfideals.toric import LEFT, RIGHT, cartier_index, hj_resolve, pushforward_sections, to_resolution
 
 SMOOTH = hj_resolve(1, 1)
+CATALOG_SHA256 = "baac88292f6bdd16f8d7a68b2eb572681cbef279aca415eed0fe7b1edf063cab"
 
 
 def _report(num: int, desc: str, ok: bool, extra: str = "") -> None:
@@ -253,9 +255,12 @@ def test_criterion_8_determinism_across_jobs():
         runs.append(proc.stdout)
     identical = runs[0] == runs[1]
     all_equal = json.loads(runs[0].decode())["all_equal"]
+    # the catalog output is pinned: a change that alters it on purpose
+    # updates this digest and says so in CHANGES.md
+    digest = hashlib.sha256(runs[0]).hexdigest()
     _report(
         8,
-        "byte-identical full-catalog reports with --jobs 1 and --jobs 8",
-        identical and all_equal,
-        f"{len(runs[0])} bytes each, all_equal={all_equal}",
+        "byte-identical full-catalog reports with --jobs 1 and --jobs 8, of the pinned digest",
+        identical and all_equal and digest == CATALOG_SHA256,
+        f"{len(runs[0])} bytes each, all_equal={all_equal}, sha256={digest[:12]}",
     )

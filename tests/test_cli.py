@@ -70,6 +70,20 @@ def test_bad_rationals_are_bad_parameters(capsys, argv):
     assert doc["error"]["type"] == "BadParameters"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mult-ideal", "cyclic:2503/2", "--z", "boundary", "--lambda", "1/2"),
+        ("test-ideal", "cyclic:2503/2", "--z", "boundary", "--lambda", "1/2", "--p", "5"),
+    ],
+)
+def test_large_index_section_scan(capsys, argv):
+    # the section scan visits O(r) values of s, so r in the thousands is in reach
+    code, doc = run_cli(capsys, *argv)
+    assert code == 0
+    assert doc["ideal"] == {"generators": [[0, 0]], "is_unit": True}
+
+
 def test_compare_single_pair(capsys):
     code, doc = run_cli(capsys, "compare", "cyclic:2/1", "--z", "0", "--primes", "3,5,7")
     assert code == 0

@@ -11,6 +11,8 @@ from surfideals.frobenius import (
     CharPContext,
     _closure,
     _seed,
+    _trace_image_cached,
+    _twist_bounds,
     boundary_containment_check,
     boundary_monomial,
     numerical_containment_check,
@@ -79,6 +81,35 @@ def test_trace_image_full_not_fundamental_domain_truncation():
     ideal = MonomialIdeal.from_points(A1, [(1, 1)])
     image = trace_apply(A1, ctx, tm, ideal)
     assert image.gens == ((1, 0), (1, 1))
+
+
+def test_depth_image_is_the_sum_over_trace_maps():
+    # the lemma of _trace_image_cached: one corner per generator at the
+    # bounds of T_e gives the image under every depth-e map at once
+    rng = random.Random(44)
+    models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 13) for a in range(1, r) if math.gcd(r, a) == 1]
+    box = [(w0, w1) for w0 in range(-3, 9) for w1 in range(-3, 9)]
+    for model in models:
+        monoid = [(i, j) for i in range(9) for j in range(9) if model.in_monoid((i, j))]
+        for p in (2, 3, 5):
+            ctx = CharPContext(p)
+            for e in (1, 2, 3):
+                wl, wr = (Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(2))
+                w = model.divisor({LEFT: wl, RIGHT: wr})
+                ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
+                q = p**e
+                image = MonomialIdeal(model, _trace_image_cached(model, q, _twist_bounds(q, wl, wr), ideal.stairs))
+                maps = trace_maps(model, ctx, e, w)
+                expected = MonomialIdeal(model, ())
+                for tm in maps:
+                    expected = expected.sum(trace_apply(model, ctx, tm, ideal))
+                assert image == expected, (model, p, e, w, ideal.gens)
+                # by definition, x^w is in the image iff q w - c - g lies in S
+                # for a twist c and a generator g of the ideal
+                shifts = [(tm.twist[0] + g[0], tm.twist[1] + g[1]) for tm in maps for g in ideal.gens]
+                for w0, w1 in box:
+                    reached = any(model.in_monoid((q * w0 - d0, q * w1 - d1)) for d0, d1 in shifts)
+                    assert image.contains_point((w0, w1)) == reached, (model, p, e, w, ideal.gens, (w0, w1))
 
 
 def test_trace_apply_preserves_inclusions():

@@ -116,6 +116,8 @@ def test_monomial_valuations():
 def test_section_module_against_brute_force():
     rng = random.Random(5)
     models = [hj_resolve(1, 1), hj_resolve(2, 1), hj_resolve(3, 1), hj_resolve(5, 2), hj_resolve(5, 3)]
+    # a chain of six -2 curves, and a single -7 curve
+    models += [hj_resolve(7, 6), hj_resolve(7, 1)]
     for model in models:
         names = [label.name for label, _ in model.rays()]
         for _ in range(25):
@@ -218,7 +220,8 @@ def test_monomial_ideal_antichain_and_order():
 
 def test_monomial_ideal_sum_and_intersection_against_brute_force():
     rng = random.Random(31)
-    for model in (hj_resolve(2, 1), hj_resolve(5, 3), hj_resolve(1, 1)):
+    box = [(u1, u2) for u1 in range(-6, 7) for u2 in range(-6, 7)]
+    for model in (hj_resolve(2, 1), hj_resolve(5, 3), hj_resolve(1, 1), hj_resolve(7, 3), hj_resolve(12, 5)):
         monoid = sorted(brute_ideal_points(model, [(0, 0)], box=6))
         for _ in range(10):
             g1 = rng.sample(monoid, 3)
@@ -231,5 +234,6 @@ def test_monomial_ideal_sum_and_intersection_against_brute_force():
             m = i1.intersect(i2)
             assert {p for p in union} == {p for p in brute_ideal_points(model, s.gens, box=6)}
             assert {p for p in meet} == {p for p in brute_ideal_points(model, m.gens, box=6)}
+            assert {u for u in box if i1.contains_point(u)} == brute_ideal_points(model, g1, box=6)
             assert i1.intersect(i2).issubset(i1)
             assert i1.issubset(i1.sum(i2))
