@@ -20,15 +20,33 @@ generator (the lemma in `_trace_image_cached`).  The monomial description
 of the maps holds on every affine toric ring (Payne 2009), so every
 prime p is allowed, including p dividing r.
 
-The depth cutoff E is adaptive.  Sweep-stability at a fixed depth cannot
-detect that a strictly deeper map would still enlarge the ideal (the
-round-ups in the twist bounds are superadditive, so deep maps are not
-compositions of shallow ones).  The twist data is eventually periodic in
-e with period the multiplicative order of p modulo the prime-to-p part
-of the pair's denominator lcm; after the sweeps stabilize, one full
-period of deeper maps is probed, the cutoff is extended if any of them
-still moves the ideal, and `Unstabilized` is raised past a hard cap
-rather than ever returning a silently truncated ideal.
+A quiet sweep at a fixed depth cannot show that a deeper map adds nothing
+(the round-ups in the twist bounds are superadditive, so deep maps are
+not compositions of shallow ones); the depth cutoff is proved instead.
+
+Stable-depth lemma.  Take a stair pairing x >= 0 on a boundary ray v,
+with w = w_v = n/d >= 0, q = p^e and b_v(e) = (1 - q) + ceil((q - 1) w).
+Write ceil((q - 1) w) = (q - 1) w + c with c in [0, 1), a multiple of
+1/d.  Then (x + b_v(e)) / q = (w - 1) + delta, where
+delta = (x + 1 - w + c) / q.
+  * Integer w: c = 0, and once q > |x + 1 - w| the value ceil(delta)
+    is [x + 1 > w], so the ceiling is w - 1 + [x + 1 > w].
+  * Fractional w: d |x + 1 - w + c| <= |d (x + 1) - n| + d - 1 < q, so
+    |delta| < 1/d <= min(frac w, 1 - frac w) and
+    ceil(w - 1 + delta) = floor(w).
+So for every q >= |d (x + 1) - n| + d the corner bound
+max(0, ceil((x + b_v(e)) / q)) of `_trace_image_cached` does not depend
+on e, and the depth-e image of an ideal I is one and the same ideal for
+every e >= E(I), the least e >= 1 with p^e at least that bound over the
+stairs of I and both rays (`_stable_depth`).
+
+The closure (`_closure`) sweeps depths 1..e_max until a sweep changes
+nothing, then probes the depths up to E(I) once.  If the probe adds
+nothing, I is closed under the maps of every depth: depths up to E(I)
+were swept or probed, and deeper images equal the one at E(I).  If it
+adds something, the sweeps restart at depth E(I).  Every pass that does
+not return strictly grows a monomial ideal, and ascending chains of
+ideals in the noetherian ring k[S] stop, so the closure terminates.
 """
 
 from __future__ import annotations
@@ -53,7 +71,7 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class CharPContext:
-    """A prime together with the Frobenius-depth cutoff for iterations."""
+    """A prime together with the first Frobenius depth the closure sweeps."""
 
     p: int
     e_max: int = 4
@@ -85,7 +103,7 @@ def _boundary_coeffs(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Fracti
 def _twist_bounds(q: int, wl: Fraction, wr: Fraction) -> Pair:
     """The boundary bounds b_v = (1 - q) + ceil((q - 1) w_v) of the module
     T_e of depth-e twists, q = p^e."""
-    return ((1 - q) + math.ceil((q - 1) * wl), (1 - q) + math.ceil((q - 1) * wr))
+    return tuple((1 - q) + _ceildiv((q - 1) * w.numerator, w.denominator) for w in (wl, wr))
 
 
 def trace_maps(model: ToricSurfaceModel, ctx: CharPContext, e: int, w: DivisorVector) -> tuple[TraceMap, ...]:
@@ -119,12 +137,13 @@ def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: 
     under some depth-e map iff q w - u = c + m with c in T_e and m in S,
     iff q w - u lies in T_e + S = T_e (`trace_maps(e)` generates the
     S-module T_e), iff <w, v> >= ceil((<u, v> + b_v(e)) / q) on both rays.
+
+    A corner whose bounds dominate another's in both coordinates lies
+    inside it, so only the minimal bound pairs are expanded.
     """
     b_left, b_right = bounds
-    pairs: list[Pair] = []
-    for s, t in stairs:
-        pairs.extend(corner_stairs(model, max(0, _ceildiv(s + b_left, q)), max(0, _ceildiv(t + b_right, q))))
-    return _minimal_stairs(pairs)
+    corners = _minimal_stairs((max(0, _ceildiv(s + b_left, q)), max(0, _ceildiv(t + b_right, q))) for s, t in stairs)
+    return _minimal_stairs(pair for corner in corners for pair in corner_stairs(model, *corner))
 
 
 def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal: MonomialIdeal) -> MonomialIdeal:
@@ -176,39 +195,24 @@ def _seed(model: ToricSurfaceModel, w: DivisorVector) -> Point:
     return (b[0] + above_w[0], b[1] + above_w[1])
 
 
-def _multiplicative_order(p: int, n: int) -> int:
-    order = 1
-    x = p % n
-    while x != 1:
-        x = (x * p) % n
-        order += 1
-    return order
+def _stable_depth(p: int, wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
+    """E(I) of the stable-depth lemma: the least e >= 1 with
+    p^e >= |d (x + 1) - n| + d for every stair pairing x of I on each
+    boundary ray, whose coefficient is w_v = n/d."""
+    bound = max(abs(w.denominator * (x + 1) - w.numerator) + w.denominator for pair in stairs for x, w in zip(pair, (wl, wr)))
+    e, q = 1, p
+    while q < bound:
+        e, q = e + 1, q * p
+    return e
 
 
-def _depth_period(model: ToricSurfaceModel, p: int, w: DivisorVector) -> tuple[int, int]:
-    """(p-adic part, period) of the pair's twist data as a function of e.
-
-    The relevant denominators are those of the boundary coefficients of W
-    together with r (which governs the lattice pattern of the twist
-    antichains).
-    """
-    wl, wr = _boundary_coeffs(model, w)
-    n = model.r * math.lcm(wl.denominator, wr.denominator)
-    k0 = 0
-    while n % p == 0:
-        n //= p
-        k0 += 1
-    return k0, (_multiplicative_order(p, n) if n > 1 else 1)
-
-
-def _sweep(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, ideal: MonomialIdeal, depths: range) -> tuple[MonomialIdeal, bool]:
+def _sweep(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, ideal: MonomialIdeal, depths: range) -> tuple[MonomialIdeal, bool]:
     """Add, depth by depth, the image of the ideal under every trace map
     of that depth, and say whether the ideal changed.  An unchanged ideal
     keeps its object, so the trace-image cache keys share one staircase."""
-    wl, wr = _boundary_coeffs(model, w)
     grown = ideal
     for e in depths:
-        q = ctx.p**e
+        q = p**e
         image = _trace_image_cached(model, q, _twist_bounds(q, wl, wr), grown.stairs)
         bigger = grown.sum(MonomialIdeal(model, image))
         if bigger != grown:
@@ -224,27 +228,25 @@ class TestIdealResult:
 
 
 def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed: Point) -> TestIdealResult:
-    """Close the seed's ideal upward.  A sweep that changes nothing shows
-    the ideal is closed under every map of depth <= the cutoff (the sweep
-    is deterministic, so repeating it cannot change anything either)."""
-    k0, period = _depth_period(model, ctx.p, w)
-    depth = max(ctx.e_max, k0 + 1)
-    depth_cap = max(depth + 8 * period, 60)
+    """Close the seed's ideal upward (proof in the module docstring).
+    Sweeps over depths 1..depth run until one changes nothing; they are
+    counted, and `depth_used` is their depth.  The probe of the depths up
+    to E(I) is not counted."""
+    wl, wr = _boundary_coeffs(model, w)
     ideal = MonomialIdeal.from_points(model, [seed])
-    sweeps = 0
+    depth, sweeps = ctx.e_max, 0
     while True:
         changed = True
         while changed:
             if sweeps >= _SWEEP_LIMIT:
                 raise Unstabilized(f"no fixed point after {_SWEEP_LIMIT} sweeps (depth={depth})")
-            ideal, changed = _sweep(model, ctx, w, ideal, range(1, depth + 1))
+            ideal, changed = _sweep(model, ctx.p, wl, wr, ideal, range(1, depth + 1))
             sweeps += 1
-        ideal, grew = _sweep(model, ctx, w, ideal, range(depth + 1, depth + period + 1))
+        stable = _stable_depth(ctx.p, wl, wr, ideal.stairs)
+        ideal, grew = _sweep(model, ctx.p, wl, wr, ideal, range(depth + 1, stable + 1))
         if not grew:
             return TestIdealResult(ideal, sweeps, depth)
-        depth += period
-        if depth > depth_cap:
-            raise Unstabilized(f"fixed point keeps moving past depth {depth_cap}")
+        depth = stable
 
 
 @lru_cache(maxsize=None)

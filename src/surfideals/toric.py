@@ -353,13 +353,6 @@ class MonomialIdeal:
             raise InvalidModel("ideals live on different models")
         return MonomialIdeal(self.model, _minimal_stairs(self.stairs + other.stairs))
 
-    def shift(self, u: Point) -> "MonomialIdeal":
-        """Multiply by the monomial x^u."""
-        if not self.model.in_monoid(u):
-            raise InvalidModel(f"{u} is not a monomial of the coordinate ring")
-        ds, dt = self.model.pairing(u)
-        return MonomialIdeal(self.model, tuple((s + ds, t + dt) for s, t in self.stairs))
-
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")

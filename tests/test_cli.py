@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -82,6 +83,36 @@ def test_large_index_section_scan(capsys, argv):
     code, doc = run_cli(capsys, *argv)
     assert code == 0
     assert doc["ideal"] == {"generators": [[0, 0]], "is_unit": True}
+
+
+def test_compare_huge_denominator_pair(capsys):
+    # ord_2 mod 1000003 is huge, but the closure only goes to the stable
+    # depth of the pair, about log_2 of the denominator
+    code, doc = run_cli(capsys, "compare", "cyclic:1/1", "--z", '{"BR":"1/1000003"}', "--lambda", "1", "--primes", "2")
+    assert code == 0
+    assert doc["all_equal"] is True
+
+
+# The scale-out commands of perfbench/workloads.py (SCALEOUT_MODELS x
+# SCALEOUT_LAMBDAS) with the sha256 of their stdout, `sweeps` included.
+SCALEOUT_SHA256 = {
+    ("cyclic:31/7", "1/2"): "2e09d302f720217d5fd26619e2b642ed48c9e6afee035213a46dcaa6283dc2be",
+    ("cyclic:31/7", "5/4"): "bfc084c93e0ead06cada01548b56912439bed58fbf33220088c330f81dc58b00",
+    ("cyclic:61/25", "1/2"): "daf4c0ce43607f1133064a82a432cffcccbcc99aa9938306b039d3a247b4734e",
+    ("cyclic:61/25", "5/4"): "fd1f837f8b38f342284860b83e61391af53fac8a92ffd01f9f752a8d8b430b23",
+    ("cyclic:101/37", "1/2"): "e55ed77b591bce7a4356815a67e2fbeb6c1199401fd058ed7286b6f1768ff866",
+    ("cyclic:101/37", "5/4"): "e98ccc2ad745df68653120532f18a4703a394a78838f6c6db984cd47f7eda587",
+}
+
+
+@pytest.mark.parametrize("model,lam", sorted(SCALEOUT_SHA256))
+def test_scaleout_outputs_are_pinned(capsys, model, lam):
+    # a change that alters these outputs on purpose updates the digests
+    # and says so in CHANGES.md
+    code = main(["compare", model, "--z", "boundary", "--lambda", lam])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCALEOUT_SHA256[(model, lam)]
 
 
 def test_compare_single_pair(capsys):

@@ -11,6 +11,7 @@ from surfideals.frobenius import (
     CharPContext,
     _closure,
     _seed,
+    _stable_depth,
     _trace_image_cached,
     _twist_bounds,
     boundary_containment_check,
@@ -167,12 +168,42 @@ def test_seed_independence_over_catalog():
                 assert detail.sweeps >= 1 and detail.depth_used >= 4
 
 
+def test_stable_depth_lemma():
+    # past E(I) = _stable_depth the depth-e image of I does not depend on e
+    rng = random.Random(55)
+    models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 31) for a in range(1, r) if math.gcd(r, a) == 1]
+    primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
+    for model in models:
+        monoid = [(i, j) for i in range(9) for j in range(9) if model.in_monoid((i, j))]
+        for p in primes:
+            wl, wr = (Fraction(rng.randint(0, 36), rng.randint(1, 12)) for _ in range(2))
+            ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
+            stable = _stable_depth(p, wl, wr, ideal.stairs)
+
+            def image(e):
+                q = p**e
+                return _trace_image_cached(model, q, _twist_bounds(q, wl, wr), ideal.stairs)
+
+            at_stable = image(stable)
+            for e in range(stable + 1, stable + 8):
+                assert image(e) == at_stable, (model, p, wl, wr, ideal.gens, stable, e)
+
+
 def test_adaptive_depth_reaches_the_fixed_point():
-    # stalls at depth 4 (ord_2 mod 33 = 10) unless the schedule deepens
+    # the sweeps at depths 1..4 are quiet before the ideal is closed: the
+    # probe up to the stable depth still grows it, and the sweeps deepen
     model = hj_resolve(11, 1)
     detail = tau_detailed(model, CharPContext(2), model.boundary_divisor(), Fraction(2, 3))
     assert detail.ideal.is_unit()
     assert detail.depth_used > 4
+
+
+def test_large_index_closure_stops_at_the_stable_depth():
+    # ord_5 mod 5006 is 2502; the stable depth of this pair is a few steps
+    model = hj_resolve(2503, 2)
+    detail = tau_detailed(model, CharPContext(5), model.boundary_divisor(), Fraction(1, 2))
+    assert detail.ideal.is_unit()
+    assert detail.depth_used <= 10
 
 
 def test_monotone_in_lambda():
