@@ -40,5 +40,5 @@ for p in (2, 5, 7, 31):
     print(
         f"1/5(1,3), W = (2/3) boundary, p = {p}: "
         + ("unit ideal" if tau.is_unit() else f"generators {list(tau.gens)}")
-        + f"  [sweeps {detail.sweeps}, depth {detail.depth_used}]"
+        + f"  [depth {detail.depth_used}]"
     )

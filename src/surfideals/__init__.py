@@ -19,7 +19,6 @@ from .errors import (
     NonEffectiveGamma,
     NotIntegral,
     NotNegativeDefinite,
-    Unstabilized,
 )
 from .resolution import (
     ExceptionalCurve,

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -56,6 +55,14 @@ def _parse_rat(value, where: str, error: type[DomainError] = BadParameters) -> F
         raise error(f"{where}: bad rational {value!r} ({exc})") from None
 
 
+def _int(value, where: str) -> int:
+    """An integer of a model file; a malformed one is a ModelFileError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ModelFileError(f"{where} must be an integer, got {value!r}") from None
+
+
 def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, resolution.ResolutionModel]:
     kind = doc.get("kind")
     if kind == "cyclic":
@@ -69,12 +76,14 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             raise ModelFileError(f"{where}: field 'curves' must be a nonempty list")
         curve_objs = []
         for i, c in enumerate(curves):
-            if "label" not in c or "self_intersection" not in c:
+            if not isinstance(c, dict) or "label" not in c or "self_intersection" not in c:
                 raise ModelFileError(f"{where}: curves[{i}] needs 'label' and 'self_intersection'")
             label = DivisorLabel(str(c["label"]), "exceptional")
-            curve_objs.append(
-                resolution.ExceptionalCurve(label, int(c["self_intersection"]), int(c.get("genus", 0)))
-            )
+            self_int = _int(c["self_intersection"], f"{where}: curves[{i}].self_intersection")
+            curve_objs.append(resolution.ExceptionalCurve(label, self_int, _int(c.get("genus", 0), f"{where}: curves[{i}].genus")))
+        for field in ("intersections", "extras"):
+            if not isinstance(doc.get(field, []), list):
+                raise ModelFileError(f"{where}: field {field!r} must be a list")
         n = len(curve_objs)
         matrix = [[0] * n for _ in range(n)]
         for i, c in enumerate(curve_objs):
@@ -89,13 +98,16 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             matrix[i][j] = matrix[j][i] = v
         extras = []
         for k, x in enumerate(doc.get("extras", [])):
-            if "label" not in x or "meets" not in x:
-                raise ModelFileError(f"{where}: extras[{k}] needs 'label' and 'meets'")
-            xkind = x.get("kind", "strict-transform")
+            if not isinstance(x, dict) or "label" not in x or not isinstance(x.get("meets"), list):
+                raise ModelFileError(f"{where}: extras[{k}] needs 'label' and a 'meets' list")
+            try:
+                label = DivisorLabel(str(x["label"]), x.get("kind", "strict-transform"))
+            except ValueError as exc:
+                raise ModelFileError(f"{where}: extras[{k}]: {exc}") from None
             extras.append(
                 resolution.Extra(
-                    DivisorLabel(str(x["label"]), xkind),
-                    tuple(int(m) for m in x["meets"]),
+                    label,
+                    tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"]),
                     _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError),
                 )
             )
@@ -241,35 +253,30 @@ def cmd_jumps(args) -> dict:
 def cmd_test_ideal(args) -> dict:
     model = require_toric(load_model(args.model))
     z = parse_boundary_divisor(model, args.z)
-    ctx = CharPContext(args.p, args.e_max)
-    detail = frobenius.test_ideal_detailed(model, ctx, z, _parse_rat(args.lam, "--lambda"))
-    return {
-        "ideal": ideal_doc(detail.ideal),
-        "p": args.p,
-        "e_max": args.e_max,
-        "sweeps": detail.sweeps,
-    }
+    ideal = frobenius.test_ideal(model, CharPContext(args.p), z, _parse_rat(args.lam, "--lambda"))
+    return {"ideal": ideal_doc(ideal), "p": args.p}
 
 
 def cmd_compare(args) -> dict:
     primes = parse_primes(args.primes)
     if args.model == "catalog":
         entries = compare_mod.catalog_entries()
-        run = lambda entry: compare_mod.compare_entry(entry, primes=primes, e_max=args.e_max)
+        run = lambda entry: compare_mod.compare_entry(entry, primes=primes)
         if args.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only the pooled path pays for the import
+
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
                 reports = list(pool.map(run, entries))
         else:
             reports = [run(entry) for entry in entries]
         return {
             "catalog_size": len(entries),
-            "e_max": args.e_max,
             "primes": list(primes),
             "reports": [rep.to_dict() for rep in reports],
             "all_equal": all(rep.all_equal() for rep in reports),
         }
     pair = _pair_from_args(args)
-    report = compare_mod.compare_pair(pair, primes=primes, e_max=args.e_max)
+    report = compare_mod.compare_pair(pair, primes=primes)
     return {"report": report.to_dict(), "all_equal": report.all_equal()}
 
 
@@ -354,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test-ideal", help="Frobenius test ideal in characteristic p")
     add_pair(p)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--e-max", dest="e_max", type=int, default=4)
     p.set_defaults(handler=cmd_test_ideal)
 
     p = sub.add_parser("compare", help="multiplier vs test ideal over a prime sweep")
@@ -362,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default="0")
     p.add_argument("--lambda", dest="lam", default="1")
     p.add_argument("--primes", default=",".join(str(p) for p in compare_mod.PRIMES_DEFAULT))
-    p.add_argument("--e-max", dest="e_max", type=int, default=4)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(handler=cmd_compare)
 

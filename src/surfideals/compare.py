@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .divisors import DivisorVector, rat
-from .errors import Unstabilized
-from .frobenius import CharPContext, boundary_containment_check, test_ideal_detailed
+from .divisors import DivisorVector
+from .frobenius import CharPContext, test_ideal_detailed
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import MonomialIdeal, ToricSurfaceModel, hj_resolve
 
@@ -36,7 +35,6 @@ EQUAL = "equal"
 MULTIPLIER_LARGER = "multiplier-strictly-larger"
 TEST_LARGER = "test-strictly-larger"
 INCOMPARABLE = "incomparable"
-UNSTABLE = "unstabilized"
 
 
 @dataclass(frozen=True)
@@ -44,15 +42,9 @@ class PrimeVerdict:
     p: int
     verdict: str
     test_gens: Optional[tuple[tuple[int, int], ...]] = None
-    boundary_check: Optional[bool] = None
-    sweeps: Optional[int] = None
 
     def to_dict(self) -> dict:
         doc: dict = {"p": self.p, "verdict": self.verdict}
-        if self.sweeps is not None:
-            doc["sweeps"] = self.sweeps
-        if self.boundary_check is not None:
-            doc["boundary_containment"] = self.boundary_check
         if self.test_gens is not None:
             doc["test_ideal"] = [list(g) for g in self.test_gens]
         return doc
@@ -132,40 +124,25 @@ def _classify(j: MonomialIdeal, tau: MonomialIdeal) -> str:
     return INCOMPARABLE
 
 
-def compare_pair(
-    pair: PairSpec,
-    primes: Sequence[int] = PRIMES_DEFAULT,
-    e_max: int = 4,
-) -> ComparisonReport:
-    """Run the multiplier/test comparison for one pair over a prime sweep.
+def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> ComparisonReport:
+    """Run the multiplier/test comparison for one pair over a prime sweep:
+    one test ideal per prime.
 
-    An unstabilized fixed point (never observed on the catalog) is
-    recorded without aborting the sweep.  tau included in J needs no
-    separate check: the verdict already decides it.
+    tau included in J needs no separate check: the verdict already decides
+    it.  Nor does tau(W + Gamma) included in tau(W) for effective Gamma:
+    b_v(e) = (1 - q) + ceil((q - 1) w_v) does not decrease as w_v grows, so
+    every map admissible for W + Gamma is admissible for W, tau(W) is a
+    nonzero ideal closed under the W + Gamma maps, and tau(W + Gamma), the
+    least such ideal, lies inside it (`boundary_containment_check` computes
+    both sides).
     """
     model = pair.model
     j = multiplier_ideal(pair)
-    gamma_sample = model.boundary_divisor().scale(Fraction(1, 2))
     verdicts = []
     for p in sorted(primes):
-        ctx = CharPContext(p, e_max)
-        try:
-            detail = test_ideal_detailed(model, ctx, pair.z, pair.lam)
-        except Unstabilized:
-            verdicts.append(PrimeVerdict(p, UNSTABLE))
-            continue
-        tau = detail.ideal
+        tau = test_ideal_detailed(model, CharPContext(p), pair.z, pair.lam).ideal
         verdict = _classify(j, tau)
-        boundary = boundary_containment_check(model, ctx, pair.z, pair.lam, gamma_sample)
-        verdicts.append(
-            PrimeVerdict(
-                p,
-                verdict,
-                test_gens=tau.gens if verdict != EQUAL else None,
-                boundary_check=boundary,
-                sweeps=detail.sweeps,
-            )
-        )
+        verdicts.append(PrimeVerdict(p, verdict, test_gens=tau.gens if verdict != EQUAL else None))
     stable_from = None
     for v in verdicts:
         if all(w.verdict == EQUAL for w in verdicts if w.p >= v.p):
@@ -181,5 +158,5 @@ def compare_pair(
     return ComparisonReport(name, j.gens, tuple(verdicts), stable_from)
 
 
-def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT, e_max: int = 4) -> ComparisonReport:
-    return compare_pair(entry.pair(), primes=primes, e_max=e_max)
+def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT) -> ComparisonReport:
+    return compare_pair(entry.pair(), primes=primes)

@@ -33,9 +33,5 @@ class NonEffectiveGamma(DomainError):
     pass
 
 
-class Unstabilized(DomainError):
-    pass
-
-
 class ModelFileError(DomainError):
     pass

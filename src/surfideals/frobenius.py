@@ -13,16 +13,16 @@ ideals on that chart.
 
 The test ideal of (X, W) is the smallest nonzero ideal closed under all
 such maps.  It is computed as a fixed point: seed with a monomial proved
-to lie in every nonzero closed ideal (see `_seed`), and add, for each
-depth e = 1..E, the image of the ideal under all depth-e maps at once,
-until a sweep changes nothing.  That image is one corner module per
-generator (the lemma in `_trace_image_cached`).  The monomial description
-of the maps holds on every affine toric ring (Payne 2009), so every
-prime p is allowed, including p dividing r.
+to lie in every nonzero closed ideal (see `_seed`), and add images under
+the maps of every depth until nothing new appears.  The image of an ideal
+under all depth-e maps at once is one corner module per stair (the lemma
+in `_trace_image_cached`).  The monomial description of the maps holds on
+every affine toric ring (Payne 2009), so every prime p is allowed,
+including p dividing r.
 
-A quiet sweep at a fixed depth cannot show that a deeper map adds nothing
-(the round-ups in the twist bounds are superadditive, so deep maps are
-not compositions of shallow ones); the depth cutoff is proved instead.
+Closure under shallow maps does not imply closure under deep ones (the
+round-ups in the twist bounds are superadditive, so deep maps are not
+compositions of shallow ones); the depth cutoff is proved instead.
 
 Stable-depth lemma.  Take a stair pairing x >= 0 on a boundary ray v,
 with w = w_v = n/d >= 0, q = p^e and b_v(e) = (1 - q) + ceil((q - 1) w).
@@ -35,18 +35,31 @@ delta = (x + 1 - w + c) / q.
     |delta| < 1/d <= min(frac w, 1 - frac w) and
     ceil(w - 1 + delta) = floor(w).
 So for every q >= |d (x + 1) - n| + d the corner bound
-max(0, ceil((x + b_v(e)) / q)) of `_trace_image_cached` does not depend
-on e, and the depth-e image of an ideal I is one and the same ideal for
-every e >= E(I), the least e >= 1 with p^e at least that bound over the
+max(0, ceil((x + b_v(e)) / q)) of `_corner` does not depend on e, and
+the depth-e image of an ideal I is one and the same ideal for every
+e >= E(I), the least e >= 1 with p^e at least that bound over the
 stairs of I and both rays (`_stable_depth`).
 
-The closure (`_closure`) sweeps depths 1..e_max until a sweep changes
-nothing, then probes the depths up to E(I) once.  If the probe adds
-nothing, I is closed under the maps of every depth: depths up to E(I)
-were swept or probed, and deeper images equal the one at E(I).  If it
-adds something, the sweeps restart at depth E(I).  Every pass that does
-not return strictly grows a monomial ideal, and ascending chains of
-ideals in the noetherian ring k[S] stop, so the closure terminates.
+Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  `_closure` runs
+rounds; each works on Delta, the stairs that the previous round added
+(the seed's stair first).  It takes the corners of every stair of Delta
+at every depth e = 1..E(Delta), keeps the minimal ones that the ideal
+does not already contain, and adds their corner modules.  It stops when
+a round adds no stair.
+  * Every stair x of the result entered some Delta exactly once (a stair
+    that stops being minimal never becomes minimal again), and its round
+    applied the depths 1..E(Delta), which include 1..E({x}).  By the
+    stable-depth lemma for the one-stair ideal {x}, deeper depths give x
+    the same corner.  So the result holds the image of each of its stairs
+    under every depth.  A non-minimal element adds nothing more: corner
+    bounds are nondecreasing in the pairings.  By the lemma of
+    `_trace_image_cached`, the result is closed under every map of every
+    depth, and it contains the seed, so it contains tau.
+  * Every added monomial is the image of an element of the ideal, so the
+    result lies inside tau.  Hence the result is tau.
+  * Every round that does not stop strictly grows a monomial ideal, and
+    ascending chains of ideals in the noetherian ring k[S] stop, so the
+    closure terminates.
 """
 
 from __future__ import annotations
@@ -57,30 +70,48 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .divisors import DivisorVector, RatLike, rat
-from .errors import InvalidModel, NonEffectiveGamma, Unstabilized
+from .errors import BadParameters, InvalidModel, NonEffectiveGamma
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import LEFT, RIGHT, MonomialIdeal, Pair, Point, ToricSurfaceModel
 from .toric import _ceildiv, _minimal_stairs, corner_stairs, section_module_min_gens
 
-_SWEEP_LIMIT = 64
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Deterministic Miller-Rabin primality test for n below _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise BadParameters(f"primality of {n} is not decided above {_MR_LIMIT}")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
 class CharPContext:
-    """A prime together with the first Frobenius depth the closure sweeps."""
+    """The characteristic p of the Frobenius trace maps."""
 
     p: int
-    e_max: int = 4
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise InvalidModel(f"{self.p} is not prime")
-        if self.e_max < 1:
-            raise InvalidModel("e_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,6 +156,12 @@ def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
     return (n0 // pe, n1 // pe)
 
 
+def _corner(q: int, bounds: Pair, stair: Pair) -> Pair:
+    """max(0, ceil((x + b_v) / q)) on both rays: the corner of the image
+    of one stair x at the bounds b (lemma in `_trace_image_cached`)."""
+    return (max(0, _ceildiv(stair[0] + bounds[0], q)), max(0, _ceildiv(stair[1] + bounds[1], q)))
+
+
 @lru_cache(maxsize=None)
 def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[Pair, ...]) -> tuple[Pair, ...]:
     """The ideal of the x^w with <w, v> >= ceil((<u, v> + b_v) / q) on both
@@ -141,8 +178,7 @@ def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: 
     A corner whose bounds dominate another's in both coordinates lies
     inside it, so only the minimal bound pairs are expanded.
     """
-    b_left, b_right = bounds
-    corners = _minimal_stairs((max(0, _ceildiv(s + b_left, q)), max(0, _ceildiv(t + b_right, q))) for s, t in stairs)
+    corners = _minimal_stairs(_corner(q, bounds, x) for x in stairs)
     return _minimal_stairs(pair for corner in corners for pair in corner_stairs(model, *corner))
 
 
@@ -206,47 +242,32 @@ def _stable_depth(p: int, wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) 
     return e
 
 
-def _sweep(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, ideal: MonomialIdeal, depths: range) -> tuple[MonomialIdeal, bool]:
-    """Add, depth by depth, the image of the ideal under every trace map
-    of that depth, and say whether the ideal changed.  An unchanged ideal
-    keeps its object, so the trace-image cache keys share one staircase."""
-    grown = ideal
-    for e in depths:
-        q = p**e
-        image = _trace_image_cached(model, q, _twist_bounds(q, wl, wr), grown.stairs)
-        bigger = grown.sum(MonomialIdeal(model, image))
-        if bigger != grown:
-            grown = bigger
-    return grown, grown is not ideal
-
-
 @dataclass(frozen=True)
 class TestIdealResult:
     ideal: MonomialIdeal
-    sweeps: int
     depth_used: int
 
 
 def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed: Point) -> TestIdealResult:
-    """Close the seed's ideal upward (proof in the module docstring).
-    Sweeps over depths 1..depth run until one changes nothing; they are
-    counted, and `depth_used` is their depth.  The probe of the depths up
-    to E(I) is not counted."""
+    """Close the seed's ideal in semi-naive rounds: each maps Delta, the
+    stairs the last round added, at the depths 1..E(Delta).  Every stair x
+    is mapped once, at depths covering E({x}), so the result is closed
+    under every depth (module docstring); it holds the seed and only
+    images, so it is tau.  A round that adds a stair grows the ideal, so
+    the rounds stop (k[S] is noetherian).  `depth_used` is the largest
+    depth any round applied."""
     wl, wr = _boundary_coeffs(model, w)
     ideal = MonomialIdeal.from_points(model, [seed])
-    depth, sweeps = ctx.e_max, 0
-    while True:
-        changed = True
-        while changed:
-            if sweeps >= _SWEEP_LIMIT:
-                raise Unstabilized(f"no fixed point after {_SWEEP_LIMIT} sweeps (depth={depth})")
-            ideal, changed = _sweep(model, ctx.p, wl, wr, ideal, range(1, depth + 1))
-            sweeps += 1
-        stable = _stable_depth(ctx.p, wl, wr, ideal.stairs)
-        ideal, grew = _sweep(model, ctx.p, wl, wr, ideal, range(depth + 1, stable + 1))
-        if not grew:
-            return TestIdealResult(ideal, sweeps, depth)
-        depth = stable
+    delta, depth_used = ideal.stairs, 0
+    while delta:
+        depth = _stable_depth(ctx.p, wl, wr, delta)
+        depth_used = max(depth_used, depth)
+        bounds = [(q, _twist_bounds(q, wl, wr)) for q in (ctx.p**e for e in range(1, depth + 1))]
+        corners = _minimal_stairs(_corner(q, b, x) for q, b in bounds for x in delta)
+        added = [pair for c in corners if not ideal.contains_pair(*c) for pair in corner_stairs(model, *c)]
+        grown = MonomialIdeal(model, _minimal_stairs(ideal.stairs + tuple(added)))
+        delta, ideal = tuple(set(grown.stairs) - set(ideal.stairs)), grown
+    return TestIdealResult(ideal, depth_used)
 
 
 @lru_cache(maxsize=None)

@@ -335,18 +335,19 @@ class MonomialIdeal:
     def is_zero(self) -> bool:
         return not self.stairs
 
-    def _contains_pair(self, s: int, t: int) -> bool:
+    def contains_pair(self, s: int, t: int) -> bool:
+        """Whether the ideal holds every monomial with pairings >= (s, t)."""
         # the last stair with s_i <= s has the least t among them
         i = bisect_right(self.stairs, s, key=itemgetter(0))
         return i > 0 and self.stairs[i - 1][1] <= t
 
     def contains_point(self, u: Point) -> bool:
-        return self._contains_pair(*self.model.pairing(u))
+        return self.contains_pair(*self.model.pairing(u))
 
     def issubset(self, other: "MonomialIdeal") -> bool:
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")
-        return all(other._contains_pair(s, t) for s, t in self.stairs)
+        return all(other.contains_pair(s, t) for s, t in self.stairs)
 
     def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.model != other.model:

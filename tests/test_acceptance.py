@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from surfideals.compare import catalog_entries, compare_entry
 from surfideals.divisors import DivisorLabel, DivisorVector, floor_inequality_check
-from surfideals.frobenius import CharPContext
+from surfideals.frobenius import CharPContext, boundary_containment_check
 from surfideals.frobenius import test_ideal as tau
 from surfideals.frobenius import test_ideal_of_divisor as tau_of_divisor
 from surfideals.linalg import solve
@@ -38,7 +38,7 @@ from surfideals.resolution import (
 from surfideals.toric import LEFT, RIGHT, cartier_index, hj_resolve, pushforward_sections, to_resolution
 
 SMOOTH = hj_resolve(1, 1)
-CATALOG_SHA256 = "baac88292f6bdd16f8d7a68b2eb572681cbef279aca415eed0fe7b1edf063cab"
+CATALOG_SHA256 = "79214402320a4d00dc55d778ebacef90a43441090643dd432dd8700b9875595b"
 
 
 def _report(num: int, desc: str, ok: bool, extra: str = "") -> None:
@@ -67,10 +67,13 @@ def test_criterion_1_main_theorem_catalog():
     checked = 0
     for entry in catalog_entries():
         report = compare_entry(entry)
+        model = entry.model()
+        z, gamma = entry.pair().z, model.boundary_divisor().scale(Fraction(1, 2))
         for v in report.verdicts:
             checked += 1
-            if v.verdict != "equal" or v.boundary_check is not True:
-                failures.append((entry.entry_id, v.p, v.verdict))
+            boundary = boundary_containment_check(model, CharPContext(v.p), z, entry.lam, gamma)
+            if v.verdict != "equal" or not boundary:
+                failures.append((entry.entry_id, v.p, v.verdict, boundary))
     elapsed = time.time() - t0
     _report(
         1,

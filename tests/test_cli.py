@@ -94,14 +94,14 @@ def test_compare_huge_denominator_pair(capsys):
 
 
 # The scale-out commands of perfbench/workloads.py (SCALEOUT_MODELS x
-# SCALEOUT_LAMBDAS) with the sha256 of their stdout, `sweeps` included.
+# SCALEOUT_LAMBDAS) with the sha256 of their stdout.
 SCALEOUT_SHA256 = {
-    ("cyclic:31/7", "1/2"): "2e09d302f720217d5fd26619e2b642ed48c9e6afee035213a46dcaa6283dc2be",
-    ("cyclic:31/7", "5/4"): "bfc084c93e0ead06cada01548b56912439bed58fbf33220088c330f81dc58b00",
-    ("cyclic:61/25", "1/2"): "daf4c0ce43607f1133064a82a432cffcccbcc99aa9938306b039d3a247b4734e",
-    ("cyclic:61/25", "5/4"): "fd1f837f8b38f342284860b83e61391af53fac8a92ffd01f9f752a8d8b430b23",
-    ("cyclic:101/37", "1/2"): "e55ed77b591bce7a4356815a67e2fbeb6c1199401fd058ed7286b6f1768ff866",
-    ("cyclic:101/37", "5/4"): "e98ccc2ad745df68653120532f18a4703a394a78838f6c6db984cd47f7eda587",
+    ("cyclic:31/7", "1/2"): "db137539187a6773abd8f3d474edf57aa6c29b3ee70ba1f16951dde095909b4b",
+    ("cyclic:31/7", "5/4"): "699f0dbb91f0aabe8937c946656d765a8b5b05410fd7db2c532cafeab577aa54",
+    ("cyclic:61/25", "1/2"): "aad4596b8f39d6d921fbae08879c88e03d657b28753bde349a9d3d00f2113b0d",
+    ("cyclic:61/25", "5/4"): "72d3faa4fb960adea71419527c690b46be56edc81bda7e1dfda545b0f47d11ef",
+    ("cyclic:101/37", "1/2"): "7c1419fd4c52fada5d168791d3a35280cdde1d5840d4e9a098a54b7cfdd7977f",
+    ("cyclic:101/37", "5/4"): "59b4b327024489251cfbcaa2a9f11633cf3451c75f5a16045416d2f0caaf91dd",
 }
 
 
@@ -113,6 +113,15 @@ def test_scaleout_outputs_are_pinned(capsys, model, lam):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCALEOUT_SHA256[(model, lam)]
+
+
+def test_test_ideal_at_a_large_prime(capsys):
+    # p = 2^61 - 1: the primality test is Miller-Rabin, not trial division,
+    # and the closure needs one Frobenius depth
+    code, doc = run_cli(capsys, "test-ideal", "cyclic:5/2", "--z", "boundary", "--lambda", "1/2", "--p", str(2**61 - 1))
+    assert code == 0
+    assert doc["p"] == 2**61 - 1
+    assert doc["ideal"] == {"generators": [[0, 0]], "is_unit": True}
 
 
 def test_compare_single_pair(capsys):
@@ -182,6 +191,24 @@ def test_model_file_errors_have_context(capsys, tmp_path):
     code, doc = run_cli(capsys, "discrepancy", str(path))
     assert code == 1
     assert ":1:" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "curve,extra",
+    [
+        ({"label": "E1", "self_intersection": "x"}, None),
+        (3, None),
+        ({"label": "E1", "self_intersection": -2}, {"label": "C", "kind": "weird", "meets": [1]}),
+    ],
+)
+def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curve, extra):
+    model = {"kind": "dualgraph", "curves": [curve], "extras": [extra] if extra else []}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    code, doc = run_cli(capsys, "discrepancy", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "ModelFileError"
+    assert str(path) in doc["error"]["message"]
 
 
 def test_elliptic_cone_dualgraph(capsys, tmp_path):

@@ -10,6 +10,7 @@ from surfideals.compare import (
     compare_pair,
 )
 from surfideals.divisors import DivisorVector
+from surfideals.frobenius import CharPContext, boundary_containment_check
 from surfideals.multiplier import PairSpec
 from surfideals.toric import RIGHT, hj_resolve
 
@@ -46,9 +47,12 @@ def test_a1_zero_pair_unit_on_odd_primes():
 def test_checks_are_recorded():
     entry = CatalogEntry(5, 2, "boundary", Fraction(2, 3))
     report = compare_entry(entry, primes=(2, 3))
+    assert [v.p for v in report.verdicts] == [2, 3]
+    model = entry.model()
+    gamma = model.boundary_divisor().scale(Fraction(1, 2))
     for v in report.verdicts:
-        assert v.boundary_check is True
-        assert v.sweeps >= 1
+        assert v.verdict == "equal"
+        assert boundary_containment_check(model, CharPContext(v.p), entry.pair().z, entry.lam, gamma)
 
 
 def test_report_dict_is_deterministic():

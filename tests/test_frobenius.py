@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import brute_ideal_points, brute_test_ideal
 from surfideals.compare import CATALOG_R_MAX
 from surfideals.divisors import DivisorVector
-from surfideals.errors import InvalidModel, NonEffectiveGamma
+from surfideals.errors import BadParameters, InvalidModel, NonEffectiveGamma
 from surfideals.frobenius import (
     CharPContext,
     _closure,
@@ -16,6 +17,7 @@ from surfideals.frobenius import (
     _twist_bounds,
     boundary_containment_check,
     boundary_monomial,
+    is_prime,
     numerical_containment_check,
     test_ideal as tau,
     test_ideal_detailed as tau_detailed,
@@ -35,8 +37,16 @@ THIRD = hj_resolve(3, 1)
 def test_context_validation():
     with pytest.raises(InvalidModel):
         CharPContext(4)
-    with pytest.raises(InvalidModel):
-        CharPContext(5, 0)
+
+
+def test_is_prime_against_trial_division():
+    for n in range(10**4):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+    # strong pseudoprimes to the prime bases up to 7 and up to 17
+    assert not is_prime(3215031751) and not is_prime(341550071728321)
+    assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+    with pytest.raises(BadParameters):
+        is_prime(3_317_044_064_679_887_385_961_981)
 
 
 def test_calibration_identity_on_smooth_chart():
@@ -165,7 +175,7 @@ def test_seed_independence_over_catalog():
                 ctx = CharPContext(p)
                 detail = tau_detailed(model, ctx, model.boundary_divisor(), lam)
                 assert detail.ideal == _closure(model, ctx, w, deeper).ideal, (model, lam, p)
-                assert detail.sweeps >= 1 and detail.depth_used >= 4
+                assert detail.depth_used >= 1
 
 
 def test_stable_depth_lemma():
@@ -190,8 +200,8 @@ def test_stable_depth_lemma():
 
 
 def test_adaptive_depth_reaches_the_fixed_point():
-    # the sweeps at depths 1..4 are quiet before the ideal is closed: the
-    # probe up to the stable depth still grows it, and the sweeps deepen
+    # depths 1..4 alone leave the ideal short of closed: a round must go
+    # to the stable depth of its new stairs before the ideal is the unit
     model = hj_resolve(11, 1)
     detail = tau_detailed(model, CharPContext(2), model.boundary_divisor(), Fraction(2, 3))
     assert detail.ideal.is_unit()
@@ -257,3 +267,21 @@ def test_smooth_chart_snc_grid():
                 for lam in (Fraction(1, 2), Fraction(4, 3)):
                     expected = ((math.floor(lam * b), math.floor(lam * c)),)
                     assert tau(SMOOTH, ctx, z, lam).gens == expected
+
+
+def test_closure_against_brute_force_oracle():
+    # tau by the box oracle of conftest (twist generators by raw search, no
+    # corner formula, no stable depth) equals production on the box.  With
+    # w_v <= 8 an image of a stair x has its stairs within (x + 1) / 2 + 8 + r
+    # on each ray, so a box of 32 holds every ideal on the way for r <= 7.
+    rng = random.Random(71)
+    models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 8) for a in range(1, r) if math.gcd(r, a) == 1]
+    box = 32
+    for model in models:
+        box_points = [u for u in brute_ideal_points(model, [(0, 0)], box) if max(model.pairing(u)) <= box]
+        for p in (2, 3, 5):
+            for _ in range(3):
+                wl, wr = (Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(2))
+                ideal = tau_of_divisor(model, CharPContext(p), model.divisor({LEFT: wl, RIGHT: wr}))
+                got = {u for u in box_points if ideal.contains_point(u)}
+                assert got == brute_test_ideal(model, p, wl, wr, box), (model, p, wl, wr, ideal.gens)
