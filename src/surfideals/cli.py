@@ -56,8 +56,11 @@ def _parse_rat(value, where: str, error: type[DomainError] = BadParameters) -> F
 
 
 def _int(value, where: str) -> int:
-    """An integer of a model file; a malformed one is a ModelFileError."""
+    """An integer of a model file; a malformed one is a ModelFileError.
+    JSON true and false are not integers, though Python's bool is an int."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return int(value)
     except (TypeError, ValueError):
         raise ModelFileError(f"{where} must be an integer, got {value!r}") from None
@@ -67,7 +70,7 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
     kind = doc.get("kind")
     if kind == "cyclic":
         for field in ("r", "a"):
-            if not isinstance(doc.get(field), int):
+            if type(doc.get(field)) is not int:
                 raise ModelFileError(f"{where}: field {field!r} must be an integer")
         return toric.hj_resolve(doc["r"], doc["a"])
     if kind == "dualgraph":
@@ -89,10 +92,9 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
         for i, c in enumerate(curve_objs):
             matrix[i][i] = c.self_intersection
         for k, triple in enumerate(doc.get("intersections", [])):
-            try:
-                i, j, v = (int(x) for x in triple)
-            except (TypeError, ValueError):
-                raise ModelFileError(f"{where}: intersections[{k}] must be [i, j, value]") from None
+            if not isinstance(triple, list) or len(triple) != 3:
+                raise ModelFileError(f"{where}: intersections[{k}] must be [i, j, value]")
+            i, j, v = (_int(x, f"{where}: intersections[{k}][{m}]") for m, x in enumerate(triple))
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ModelFileError(f"{where}: intersections[{k}] has bad curve indices")
             matrix[i][j] = matrix[j][i] = v

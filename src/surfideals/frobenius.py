@@ -123,12 +123,13 @@ class TraceMap:
 
 
 def _boundary_coeffs(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Fraction, Fraction]:
-    bl, br = model.boundary_labels
-    if any(l not in (bl, br) for l in w.support):
+    """(w_left, w_right) of an effective boundary divisor W."""
+    wl, wr = (w.coeff(label) for label in model.boundary_labels)
+    if len(w.items()) != (wl != 0) + (wr != 0):
         raise InvalidModel("pair divisors live on the boundary rays of X")
-    if not w.is_effective():
+    if wl < 0 or wr < 0:
         raise InvalidModel("pair divisors must be effective")
-    return (w.coeff(bl), w.coeff(br))
+    return (wl, wr)
 
 
 def _twist_bounds(q: int, wl: Fraction, wr: Fraction) -> Pair:
@@ -193,18 +194,21 @@ def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal
 # -- test ideals -----------------------------------------------------------
 
 
-def _lexmin_section(model: ToricSurfaceModel, bounds: dict[str, int]) -> Point:
-    return min(section_module_min_gens(model, bounds))
+def _lexmin_section(model: ToricSurfaceModel, s_min: int, t_min: int) -> Point:
+    """The lexicographically least generator u of the corner module
+    {u : <u, v_left> >= s_min, <u, v_right> >= t_min}."""
+    return min(map(model.point, corner_stairs(model, s_min, t_min)))
 
 
 def boundary_monomial(model: ToricSurfaceModel) -> Point:
     """Least monomial vanishing on the whole toric boundary (and hence on
     the singular point); the designated test element."""
-    return _lexmin_section(model, {LEFT: 1, RIGHT: 1})
+    return _lexmin_section(model, 1, 1)
 
 
-def _seed(model: ToricSurfaceModel, w: DivisorVector) -> Point:
-    """A monomial x^s in tau(X, W), so that closure(x^s) = tau(X, W).
+def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> Point:
+    """A monomial x^s in tau(X, W), W = wl B_left + wr B_right with
+    wl, wr >= 0, so that closure(x^s) = tau(X, W).
 
     s = b + a, where b is the boundary monomial and a the least section
     with <a, v> >= ceil(w_v) on both boundary rays v.
@@ -225,8 +229,7 @@ def _seed(model: ToricSurfaceModel, w: DivisorVector) -> Point:
     test ideals in non-Q-Gorenstein rings, 2011).  Any other seed in tau
     gives the same ideal, so one closure is enough.
     """
-    wl, wr = _boundary_coeffs(model, w)
-    above_w = _lexmin_section(model, {LEFT: max(0, math.ceil(wl)), RIGHT: max(0, math.ceil(wr))})
+    above_w = _lexmin_section(model, math.ceil(wl), math.ceil(wr))
     b = boundary_monomial(model)
     return (b[0] + above_w[0], b[1] + above_w[1])
 
@@ -248,7 +251,7 @@ class TestIdealResult:
     depth_used: int
 
 
-def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed: Point) -> TestIdealResult:
+def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: Point) -> TestIdealResult:
     """Close the seed's ideal in semi-naive rounds: each maps Delta, the
     stairs the last round added, at the depths 1..E(Delta).  Every stair x
     is mapped once, at depths covering E({x}), so the result is closed
@@ -256,13 +259,12 @@ def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed
     images, so it is tau.  A round that adds a stair grows the ideal, so
     the rounds stop (k[S] is noetherian).  `depth_used` is the largest
     depth any round applied."""
-    wl, wr = _boundary_coeffs(model, w)
     ideal = MonomialIdeal.from_points(model, [seed])
     delta, depth_used = ideal.stairs, 0
     while delta:
-        depth = _stable_depth(ctx.p, wl, wr, delta)
+        depth = _stable_depth(p, wl, wr, delta)
         depth_used = max(depth_used, depth)
-        bounds = [(q, _twist_bounds(q, wl, wr)) for q in (ctx.p**e for e in range(1, depth + 1))]
+        bounds = [(q, _twist_bounds(q, wl, wr)) for q in (p**e for e in range(1, depth + 1))]
         corners = _minimal_stairs(_corner(q, b, x) for q, b in bounds for x in delta)
         added = [pair for c in corners if not ideal.contains_pair(*c) for pair in corner_stairs(model, *c)]
         grown = MonomialIdeal(model, _minimal_stairs(ideal.stairs + tuple(added)))
@@ -271,15 +273,18 @@ def _closure(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector, seed
 
 
 @lru_cache(maxsize=None)
-def _test_ideal_cached(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> TestIdealResult:
-    return _closure(model, ctx, w, _seed(model, w))
+def _test_ideal_cached(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction) -> TestIdealResult:
+    """tau(X, W) for W = wl B_left + wr B_right: a toric pair is its model
+    and two boundary coefficients, so these are the whole key."""
+    return _closure(model, p, wl, wr, _seed(model, wl, wr))
 
 
 def test_ideal_detailed(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> TestIdealResult:
     lam = rat(lam)
     if lam < 0:
         raise InvalidModel("the scaling factor must be >= 0")
-    return _test_ideal_cached(model, ctx, z.scale(lam))
+    zl, zr = _boundary_coeffs(model, z) if lam else (0, 0)  # W = 0 whatever Z is
+    return _test_ideal_cached(model, ctx.p, lam * zl, lam * zr)
 
 
 def test_ideal(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> MonomialIdeal:
@@ -290,7 +295,7 @@ def test_ideal(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, la
 
 def test_ideal_of_divisor(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> MonomialIdeal:
     """tau(X, W) for an arbitrary effective boundary Q-divisor W."""
-    return _test_ideal_cached(model, ctx, w).ideal
+    return _test_ideal_cached(model, ctx.p, *_boundary_coeffs(model, w)).ideal
 
 
 def boundary_containment_check(

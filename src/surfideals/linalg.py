@@ -66,10 +66,20 @@ def leading_minors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 
 def is_negative_definite(matrix: Sequence[Sequence[int]]) -> bool:
-    """Sylvester test: leading minors alternate in sign starting negative."""
-    for k, minor in enumerate(leading_minors(matrix)):
-        if minor == 0 or (minor < 0) != (k % 2 == 0):
+    """Sylvester test: leading minors alternate in sign starting negative.
+    Read off one Bareiss pass without row swaps, whose k-th pivot is the
+    k-th leading minor while no pivot is zero (a zero one: not definite)."""
+    rows = [list(map(int, row)) for row in matrix]
+    prev = 1
+    for k, row in enumerate(rows):
+        pivot = row[k]
+        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
             return False
+        for other in rows[k + 1:]:
+            head = other[k]
+            for j in range(k + 1, len(row)):
+                other[j] = (pivot * other[j] - head * row[j]) // prev
+        prev = pivot
     return True
 
 

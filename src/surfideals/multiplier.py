@@ -7,12 +7,22 @@ m-limiting variants replace the numerical relative canonical by the one
 cut out by the module O_X(-m K_X); boundary-decorated ideals use the
 honest pullback of K_X + Delta.  All three only differ in which exact
 rational divisor gets rounded up.
+
+Where K^num = K_Y - pi*_num K_X comes from.  On a toric model every
+torus-invariant Q-divisor is Q-Cartier, so pi*_num K_X is the pullback
+through the support function ell_K of K_X = -(B_left + B_right)
+(`toric.support_function`), and K^num is -1 - <ell_K, v> on each ray v:
+zero on the boundary rays, the discrepancy on the exceptional ones.
+That is linear in v, so the toric ideals are computed ray by ray and no
+intersection matrix is solved.  A dual-graph model has no fan: there
+K^num is the solution of the intersection-matrix system
+(`resolution.relative_canonical`, used by `numerical_multiplier_divisor`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,23 +30,33 @@ from .divisors import DivisorVector, RatLike, rat
 from .errors import InvalidModel, NonEffectiveGamma
 from .resolution import relative_canonical
 from .toric import (
+    LEFT,
+    RIGHT,
     MonomialIdeal,
     ToricSurfaceModel,
-    canonical_divisor_on_resolution,
+    _section_min_gens_cached,
+    dot,
     m_limiting_relative_canonical,
     pullback_divisor,
     pushforward_sections,
     support_function,
-    to_resolution,
 )
+
 
 @dataclass(frozen=True)
 class PairSpec:
-    """An effective pair (X, lambda * Z) with Z supported on the boundary."""
+    """An effective pair (X, lambda * Z) with Z supported on the boundary.
+
+    `w_left` and `w_right` are the coefficients of W = lambda Z on the two
+    boundary rays: with the model, they are all a toric pair's ideals
+    depend on.
+    """
 
     model: ToricSurfaceModel
     z: DivisorVector
     lam: Fraction = Fraction(1)
+    w_left: Fraction = field(init=False, repr=False, compare=False)
+    w_right: Fraction = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", rat(self.lam))
@@ -44,9 +64,11 @@ class PairSpec:
             raise InvalidModel("the scaling factor must be >= 0")
         if not self.z.is_effective():
             raise InvalidModel("Z must be effective")
-        boundary = set(self.model.boundary_labels)
-        if any(l not in boundary for l in self.z.support):
+        bl, br = self.model.boundary_labels
+        if any(l not in (bl, br) for l in self.z.support):
             raise InvalidModel("Z must be supported on the boundary rays")
+        object.__setattr__(self, "w_left", self.lam * self.z.coeff(bl))
+        object.__setattr__(self, "w_right", self.lam * self.z.coeff(br))
 
     def scaled_z(self) -> DivisorVector:
         return self.z.scale(self.lam)
@@ -54,16 +76,41 @@ class PairSpec:
 
 @lru_cache(maxsize=None)
 def numerical_relative_canonical(model: ToricSurfaceModel) -> DivisorVector:
-    """K_Y - pi*_num K_X computed through the intersection matrix."""
-    return relative_canonical(to_resolution(model))
+    """K^num = K_Y - pi^* K_X: -1 - <ell_K, v> on each exceptional ray v,
+    with ell_K the support function of K_X (module docstring)."""
+    ell = support_function(model, Fraction(-1), Fraction(-1))
+    return DivisorVector((label, -1 - dot(ell, v)) for label, v in zip(model.exceptional_labels, model.exceptional_rays))
+
+
+def _round_up_sections(model: ToricSurfaceModel, c_left: Fraction, c_right: Fraction) -> MonomialIdeal:
+    """pi_* O_Y(ceil(K_Y - pi^* D)) for D = c_left B_left + c_right B_right.
+
+    pi^* D is <ell, v> on the ray v, ell = support_function(D), and K_Y is
+    -1, so x^u is a section iff <u, v> >= -ceil(-1 - <ell, v>) =
+    1 + floor(<ell, v>) on every ray v, and >= 0 on the boundary rays as
+    in `pushforward_sections`.  A bound <= 0 on an exceptional ray holds
+    on the whole monoid (the ray is interior to the cone), so it is left
+    out of the scan.
+    """
+    ell = support_function(model, c_left, c_right)
+    bounds = {LEFT: max(0, 1 + math.floor(c_left)), RIGHT: max(0, 1 + math.floor(c_right))}
+    for label, v in zip(model.exceptional_labels, model.exceptional_rays):
+        bound = 1 + math.floor(dot(ell, v))
+        if bound > 0:
+            bounds[label.name] = bound
+    return MonomialIdeal(model, _section_min_gens_cached(model, tuple(sorted(bounds.items()))))
 
 
 @lru_cache(maxsize=None)
+def _multiplier_cached(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> MonomialIdeal:
+    """J(X, W) for W = wl B_left + wr B_right: K^num - pi^* W is
+    K_Y - pi^*(K_X + W), and K_X is -1 on both boundary rays."""
+    return _round_up_sections(model, wl - 1, wr - 1)
+
+
 def multiplier_ideal(pair: PairSpec) -> MonomialIdeal:
     """Sections of the round-up of K^num - pi*(lambda Z), pushed to X."""
-    knum = numerical_relative_canonical(pair.model)
-    d = (knum - pullback_divisor(pair.model, pair.scaled_z())).ceil()
-    return pushforward_sections(pair.model, d)
+    return _multiplier_cached(pair.model, pair.w_left, pair.w_right)
 
 
 def multiplier_m_limiting(pair: PairSpec, m: int) -> MonomialIdeal:
@@ -88,15 +135,7 @@ def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialId
     if not delta.is_effective():
         raise NonEffectiveGamma("Delta must be effective")
     bl, br = model.boundary_labels
-    w = pair.scaled_z()
-    c_left = Fraction(-1) + delta.coeff(bl) + w.coeff(bl)
-    c_right = Fraction(-1) + delta.coeff(br) + w.coeff(br)
-    ell = support_function(model, c_left, c_right)
-    pull = DivisorVector(
-        [(label, ell[0] * vec[0] + ell[1] * vec[1]) for label, vec in model.rays()]
-    )
-    d = (canonical_divisor_on_resolution(model) - pull).ceil()
-    return pushforward_sections(model, d)
+    return _round_up_sections(model, delta.coeff(bl) + pair.w_left - 1, delta.coeff(br) + pair.w_right - 1)
 
 
 def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, MonomialIdeal]]:

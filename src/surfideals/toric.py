@@ -187,10 +187,6 @@ def support_function(model: ToricSurfaceModel, c_left: Fraction, c_right: Fracti
     return (l0, l1)
 
 
-def _pair_fraction(ell: tuple[Fraction, Fraction], v: Point) -> Fraction:
-    return ell[0] * v[0] + ell[1] * v[1]
-
-
 def pullback_divisor(model: ToricSurfaceModel, z: DivisorVector) -> DivisorVector:
     """Pullback to the resolution of a boundary-supported Q-divisor on X.
 
@@ -202,7 +198,7 @@ def pullback_divisor(model: ToricSurfaceModel, z: DivisorVector) -> DivisorVecto
     if any(l not in (bl, br) for l in z.support):
         raise InvalidModel("divisors on the base are supported on boundary rays only")
     ell = support_function(model, z.coeff(bl), z.coeff(br))
-    return DivisorVector([(label, _pair_fraction(ell, vec)) for label, vec in model.rays()])
+    return DivisorVector([(label, dot(ell, vec)) for label, vec in model.rays()])
 
 
 @lru_cache(maxsize=None)

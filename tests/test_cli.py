@@ -1,8 +1,10 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
+from surfideals import linalg, toric
 from surfideals.cli import main
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -235,3 +237,67 @@ def test_printed_ideals_round_trip(capsys):
     gens = [tuple(g) for g in doc["ideal"]["generators"]]
     model = hj_resolve(5, 2)
     assert MonomialIdeal.from_points(model, gens).gens == tuple(gens)
+
+
+A2_FILE = {
+    "kind": "dualgraph",
+    "curves": [{"label": "E1", "self_intersection": -2}, {"label": "E2", "self_intersection": -2}],
+    "intersections": [[0, 1, 1]],
+    "extras": [{"label": "C", "meets": [1, 0]}],
+}
+
+
+@pytest.mark.parametrize(
+    "field,model",
+    [
+        ("'r'", {"kind": "cyclic", "r": True, "a": 1}),
+        ("'a'", {"kind": "cyclic", "r": 5, "a": True}),
+        ("curves[0].self_intersection", dict(A2_FILE, curves=[{"label": "E1", "self_intersection": True}])),
+        ("curves[0].genus", {"kind": "dualgraph", "curves": [{"label": "E", "self_intersection": -2, "genus": True}]}),
+        ("extras[0].meets", dict(A2_FILE, extras=[{"label": "C", "meets": [True, 0]}])),
+        ("intersections[0][2]", dict(A2_FILE, intersections=[[0, 1, True]])),
+    ],
+)
+def test_json_booleans_are_not_integers(capsys, tmp_path, field, model):
+    # bool is an int subclass in Python, but `true` in a model file is an error
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(model))
+    code, doc = run_cli(capsys, "discrepancy", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "ModelFileError"
+    assert field in doc["error"]["message"]
+
+
+# Toric commands with the sha256 of their stdout, as computed through the
+# intersection matrix before K^num came from the support function.
+TORIC_PATH_SHA256 = {
+    ("compare", "catalog", "--primes", "2"): "bf9810433865e900c41ad54a2fc613cc8e09181249e2ccbca7938aa0d732c350",
+    ("compare", "cyclic:7/3", "--z", "boundary", "--lambda", "5/4", "--primes", "2,3,7"): "6d5567af1e339958e50ddabc57498feb1464c70681540fcf3d15f2719f0d6628",
+    ("mult-ideal", "cyclic:13/5", "--z", '{"BL": "3/2", "BR": "1/3"}', "--lambda", "2/3"): "06fde3260c5ae3a43a5d07908eb99dc5f60c74e6c5510bc9e3ec391597db1d32",
+    ("m-limiting", "cyclic:12/7", "--z", "boundary", "--lambda", "1/2", "--m", "4"): "ae93f15a634daf505c8f6ccead02db847d3624a260ecd4be5123feec594507ca",
+    ("jumps", "cyclic:9/2", "--z", "boundary", "--lambda-max", "2"): "28aa64f149d8dfb55f9cae4aaf6be2ebc37bc159ccb39469d6d30fc5ad2d727e",
+    ("test-ideal", "cyclic:11/4", "--z", '{"BL": "1", "BR": "2/5"}', "--lambda", "5/4", "--p", "7"): "a0f5ce182ea93c2634c3e1b336c2de8343b80d66c122d4e545fcffd7fd7cf656",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TORIC_PATH_SHA256))
+def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
+    # K^num is linear on a toric model, so no intersection matrix is built
+    # or solved: each function below raises wherever it is referenced, and
+    # the caches are emptied so that no earlier result hides a call
+    forbidden = (linalg.solve, linalg.is_negative_definite, toric.to_resolution)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("linear algebra on the toric path")
+
+    modules = [m for name, m in list(sys.modules.items()) if m is not None and name.startswith("surfideals")]
+    for mod in modules:
+        for key, value in list(vars(mod).items()):
+            if any(value is fn for fn in forbidden):
+                monkeypatch.setattr(mod, key, refuse)
+            elif callable(getattr(value, "cache_clear", None)) and getattr(value, "__module__", "").startswith("surfideals"):
+                value.cache_clear()
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]

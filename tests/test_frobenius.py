@@ -168,13 +168,11 @@ def test_seed_independence_over_catalog():
     for model in models:
         b = boundary_monomial(model)
         for lam in (Fraction(1, 2), Fraction(5, 4)):
-            w = model.boundary_divisor().scale(lam)
-            seed = _seed(model, w)
+            seed = _seed(model, lam, lam)
             deeper = (seed[0] + b[0], seed[1] + b[1])
             for p in (2, 3):
-                ctx = CharPContext(p)
-                detail = tau_detailed(model, ctx, model.boundary_divisor(), lam)
-                assert detail.ideal == _closure(model, ctx, w, deeper).ideal, (model, lam, p)
+                detail = tau_detailed(model, CharPContext(p), model.boundary_divisor(), lam)
+                assert detail.ideal == _closure(model, p, lam, lam, deeper).ideal, (model, lam, p)
                 assert detail.depth_used >= 1
 
 

@@ -71,3 +71,32 @@ def test_solution_scales_linearly():
 def test_empty_system():
     assert solve([], []) == []
     assert determinant([]) == 1
+
+
+def test_negative_definite_against_leading_minors():
+    # one Bareiss pass against the Sylvester test on n separate minors, over
+    # -B B^T (definite, or singular when B has fewer columns than rows) and
+    # plain random symmetric matrices (mostly indefinite)
+    rng = random.Random(29)
+    seen = {"definite": 0, "singular": 0, "indefinite": 0}
+    for _ in range(900):
+        n = rng.randint(1, 7)
+        kind = rng.choice(("gram", "gram", "random"))
+        if kind == "gram":
+            b = [[rng.randint(-2, 2) for _ in range(rng.randint(n - 1, n + 1))] for _ in range(n)]
+            m = [[-sum(x * y for x, y in zip(bi, bj)) for bj in b] for bi in b]
+        else:
+            m = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = rng.randint(-3, 3)
+        minors = leading_minors(m)
+        expected = all(d != 0 and (d < 0) == (k % 2 == 0) for k, d in enumerate(minors))
+        assert is_negative_definite(m) == expected, m
+        if expected:
+            seen["definite"] += 1
+        elif determinant(m) == 0:
+            seen["singular"] += 1
+        else:
+            seen["indefinite"] += 1
+    assert min(seen.values()) >= 50, seen

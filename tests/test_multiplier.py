@@ -7,6 +7,7 @@ import pytest
 from conftest import brute_module_gens
 from surfideals.divisors import DivisorVector
 from surfideals.errors import InvalidModel
+from surfideals.resolution import relative_canonical
 from surfideals.multiplier import (
     PairSpec,
     jumping_numbers,
@@ -16,7 +17,15 @@ from surfideals.multiplier import (
     numerical_multiplier_divisor,
     numerical_relative_canonical,
 )
-from surfideals.toric import LEFT, RIGHT, cartier_index, hj_resolve, to_resolution
+from surfideals.toric import (
+    LEFT,
+    RIGHT,
+    cartier_index,
+    hj_resolve,
+    pullback_divisor,
+    pushforward_sections,
+    to_resolution,
+)
 
 SMOOTH = hj_resolve(1, 1)
 A1 = hj_resolve(2, 1)
@@ -177,3 +186,27 @@ def test_divisor_level_output_for_bare_resolution():
     assert d == DivisorVector.zero()  # ceil(-1/3) = 0
     knum = numerical_relative_canonical(THIRD)
     assert knum.coeff(THIRD.label("E1")) == Fraction(-1, 3)
+
+
+def _models(r_max):
+    return [SMOOTH] + [hj_resolve(r, a) for r in range(2, r_max + 1) for a in range(1, r) if math.gcd(r, a) == 1]
+
+
+def test_multiplier_ideal_against_the_divisor_route():
+    # ray by ray from the support function equals sections of
+    # ceil(K^num - pi^* W) with K^num solved through the intersection matrix;
+    # the denominators are <= 12, and 1 for one W of each model, where the
+    # round-up of an integer coefficient is tested
+    rng = random.Random(91)
+    for model in _models(30):
+        knum = relative_canonical(to_resolution(model))
+        for den_max in (12, 12, 12, 1):
+            w = model.divisor({LEFT: Fraction(rng.randint(0, 3 * den_max), rng.randint(1, den_max)),
+                               RIGHT: Fraction(rng.randint(0, 3 * den_max), rng.randint(1, den_max))})
+            expected = pushforward_sections(model, (knum - pullback_divisor(model, w)).ceil())
+            assert multiplier_ideal(PairSpec(model, w, 1)) == expected, (model, w)
+
+
+def test_numerical_relative_canonical_against_the_intersection_matrix():
+    for model in _models(40):
+        assert numerical_relative_canonical(model) == relative_canonical(to_resolution(model)), model
