@@ -57,9 +57,9 @@ def _parse_rat(value, where: str, error: type[DomainError] = BadParameters) -> F
 
 def _int(value, where: str) -> int:
     """An integer of a model file; a malformed one is a ModelFileError.
-    JSON true and false are not integers, though Python's bool is an int."""
+    JSON true, false and non-integral numbers are not integers, though int() takes them."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
             raise TypeError
         return int(value)
     except (TypeError, ValueError):
@@ -253,9 +253,8 @@ def cmd_jumps(args) -> dict:
 
 
 def cmd_test_ideal(args) -> dict:
-    model = require_toric(load_model(args.model))
-    z = parse_boundary_divisor(model, args.z)
-    ideal = frobenius.test_ideal(model, CharPContext(args.p), z, _parse_rat(args.lam, "--lambda"))
+    ctx = CharPContext(args.p)  # the prime first, as `compare` checks --primes first
+    ideal = frobenius.test_ideal(_pair_from_args(args), ctx)
     return {"ideal": ideal_doc(ideal), "p": args.p}
 
 

@@ -140,7 +140,7 @@ def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> Comp
     j = multiplier_ideal(pair)
     verdicts = []
     for p in sorted(primes):
-        tau = test_ideal_detailed(model, CharPContext(p), pair.z, pair.lam).ideal
+        tau = test_ideal_detailed(pair, CharPContext(p)).ideal
         verdict = _classify(j, tau)
         verdicts.append(PrimeVerdict(p, verdict, test_gens=tau.gens if verdict != EQUAL else None))
     stable_from = None

@@ -16,7 +16,7 @@ such maps.  It is computed as a fixed point: seed with a monomial proved
 to lie in every nonzero closed ideal (see `_seed`), and add images under
 the maps of every depth until nothing new appears.  The image of an ideal
 under all depth-e maps at once is one corner module per stair (the lemma
-in `_trace_image_cached`).  The monomial description of the maps holds on
+in `_trace_image`).  The monomial description of the maps holds on
 every affine toric ring (Payne 2009), so every prime p is allowed,
 including p dividing r.
 
@@ -53,7 +53,7 @@ a round adds no stair.
     the same corner.  So the result holds the image of each of its stairs
     under every depth.  A non-minimal element adds nothing more: corner
     bounds are nondecreasing in the pairings.  By the lemma of
-    `_trace_image_cached`, the result is closed under every map of every
+    `_trace_image`, the result is closed under every map of every
     depth, and it contains the seed, so it contains tau.
   * Every added monomial is the image of an element of the ideal, so the
     result lies inside tau.  Hence the result is tau.
@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .divisors import DivisorVector, RatLike, rat
+from .divisors import DivisorVector
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import LEFT, RIGHT, MonomialIdeal, Pair, Point, ToricSurfaceModel
@@ -122,30 +122,20 @@ class TraceMap:
     twist: Point
 
 
-def _boundary_coeffs(model: ToricSurfaceModel, w: DivisorVector) -> tuple[Fraction, Fraction]:
-    """(w_left, w_right) of an effective boundary divisor W."""
-    wl, wr = (w.coeff(label) for label in model.boundary_labels)
-    if len(w.items()) != (wl != 0) + (wr != 0):
-        raise InvalidModel("pair divisors live on the boundary rays of X")
-    if wl < 0 or wr < 0:
-        raise InvalidModel("pair divisors must be effective")
-    return (wl, wr)
-
-
 def _twist_bounds(q: int, wl: Fraction, wr: Fraction) -> Pair:
     """The boundary bounds b_v = (1 - q) + ceil((q - 1) w_v) of the module
     T_e of depth-e twists, q = p^e."""
     return tuple((1 - q) + _ceildiv((q - 1) * w.numerator, w.denominator) for w in (wl, wr))
 
 
-def trace_maps(model: ToricSurfaceModel, ctx: CharPContext, e: int, w: DivisorVector) -> tuple[TraceMap, ...]:
-    """Generators of the module T_e of depth-e trace maps twisted by W.
+def trace_maps(pair: PairSpec, ctx: CharPContext, e: int) -> tuple[TraceMap, ...]:
+    """Generators of the module T_e of depth-e trace maps twisted by lambda Z.
 
     Every admissible map is a monomial multiple of one of these, so
     closure under the returned maps is closure under all of them.
     """
-    b_left, b_right = _twist_bounds(ctx.p**e, *_boundary_coeffs(model, w))
-    return tuple(TraceMap(e, c) for c in section_module_min_gens(model, {LEFT: b_left, RIGHT: b_right}))
+    b_left, b_right = _twist_bounds(ctx.p**e, pair.w_left, pair.w_right)
+    return tuple(TraceMap(e, c) for c in section_module_min_gens(pair.model, {LEFT: b_left, RIGHT: b_right}))
 
 
 def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
@@ -159,12 +149,11 @@ def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
 
 def _corner(q: int, bounds: Pair, stair: Pair) -> Pair:
     """max(0, ceil((x + b_v) / q)) on both rays: the corner of the image
-    of one stair x at the bounds b (lemma in `_trace_image_cached`)."""
+    of one stair x at the bounds b (lemma in `_trace_image`)."""
     return (max(0, _ceildiv(stair[0] + bounds[0], q)), max(0, _ceildiv(stair[1] + bounds[1], q)))
 
 
-@lru_cache(maxsize=None)
-def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[Pair, ...]) -> tuple[Pair, ...]:
+def _trace_image(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[Pair, ...]) -> tuple[Pair, ...]:
     """The ideal of the x^w with <w, v> >= ceil((<u, v> + b_v) / q) on both
     boundary rays v, over the stairs u; b = `bounds`, q = p^e.  With
     b = <c, v> it is the image under phi_c (phi_c(x^(u+m)) = x^w, m in S,
@@ -185,10 +174,10 @@ def _trace_image_cached(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: 
 
 def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal: MonomialIdeal) -> MonomialIdeal:
     """Image ideal phi(F^e_* I) for a nonzero monomial ideal I, by
-    `_trace_image_cached` at the bounds b = <c, v>."""
+    `_trace_image` at the bounds b = <c, v>."""
     if ideal.is_zero():
         raise InvalidModel("trace image of the zero ideal is not defined")
-    return MonomialIdeal(model, _trace_image_cached(model, ctx.p**tm.e, model.pairing(tm.twist), ideal.stairs))
+    return MonomialIdeal(model, _trace_image(model, ctx.p**tm.e, model.pairing(tm.twist), ideal.stairs))
 
 
 # -- test ideals -----------------------------------------------------------
@@ -274,51 +263,36 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
 
 @lru_cache(maxsize=None)
 def _test_ideal_cached(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction) -> TestIdealResult:
-    """tau(X, W) for W = wl B_left + wr B_right: a toric pair is its model
-    and two boundary coefficients, so these are the whole key."""
+    """tau(X, W) for W = wl B_left + wr B_right: a toric pair, validated by
+    `PairSpec`, is its model and two boundary coefficients, the whole key."""
     return _closure(model, p, wl, wr, _seed(model, wl, wr))
 
 
-def test_ideal_detailed(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> TestIdealResult:
-    lam = rat(lam)
-    if lam < 0:
-        raise InvalidModel("the scaling factor must be >= 0")
-    zl, zr = _boundary_coeffs(model, z) if lam else (0, 0)  # W = 0 whatever Z is
-    return _test_ideal_cached(model, ctx.p, lam * zl, lam * zr)
+def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:
+    """tau(X, lambda Z) with the largest Frobenius depth its closure used."""
+    return _test_ideal_cached(pair.model, ctx.p, pair.w_left, pair.w_right)
 
 
-def test_ideal(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> MonomialIdeal:
+def test_ideal(pair: PairSpec, ctx: CharPContext) -> MonomialIdeal:
     """tau(X, lambda Z): the smallest nonzero ideal J with
     phi(F^e_* J) included in J for every twisted trace map phi."""
-    return test_ideal_detailed(model, ctx, z, lam).ideal
+    return _test_ideal_cached(pair.model, ctx.p, pair.w_left, pair.w_right).ideal
 
 
 def test_ideal_of_divisor(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> MonomialIdeal:
-    """tau(X, W) for an arbitrary effective boundary Q-divisor W."""
-    return _test_ideal_cached(model, ctx.p, *_boundary_coeffs(model, w)).ideal
+    """tau(X, W) for an effective boundary Q-divisor W: the pair (X, 1 * W)."""
+    return test_ideal(PairSpec(model, w), ctx)
 
 
-def boundary_containment_check(
-    model: ToricSurfaceModel,
-    ctx: CharPContext,
-    z: DivisorVector,
-    lam: RatLike,
-    gamma: DivisorVector,
-) -> bool:
+def boundary_containment_check(pair: PairSpec, ctx: CharPContext, gamma: DivisorVector) -> bool:
     """tau(X, Gamma + lambda Z) included in tau(X, lambda Z), for effective
     Gamma with K + Gamma Q-Cartier (automatic on these models)."""
     if not gamma.is_effective():
         raise NonEffectiveGamma("Gamma must be effective")
-    w = z.scale(rat(lam))
-    tau_plain = test_ideal_of_divisor(model, ctx, w)
-    tau_gamma = test_ideal_of_divisor(model, ctx, w + gamma)
-    return tau_gamma.issubset(tau_plain)
+    return test_ideal_of_divisor(pair.model, ctx, pair.scaled_z() + gamma).issubset(test_ideal(pair, ctx))
 
 
-def numerical_containment_check(model: ToricSurfaceModel, ctx: CharPContext, z: DivisorVector, lam: RatLike) -> bool:
+def numerical_containment_check(pair: PairSpec, ctx: CharPContext) -> bool:
     """tau(X, lambda Z) included in the trace image of the numerical
     multiplier module (realized as sections of ceil(K^num - pi* lambda Z))."""
-    lam = rat(lam)
-    tau = test_ideal(model, ctx, z, lam)
-    target = multiplier_ideal(PairSpec(model, z, lam))
-    return tau.issubset(target)
+    return test_ideal(pair, ctx).issubset(multiplier_ideal(pair))

@@ -276,14 +276,11 @@ def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[s
             raise InvalidModel(f"ray {name!r} is not interior to the cone")
         exc.append((c * step, alpha, beta))
 
-    # From s_free on t = c_right is allowed; s * v_right[1] runs through
-    # every class mod |det|, so t = c_right, the least t of all, comes
-    # within |det| more steps and nothing after it is minimal.
-    s_free = max([c_left] + [_ceildiv(cs - beta * c_right, alpha) for cs, alpha, beta in exc])
-    if s_free + step - c_left > ENUMERATION_LIMIT:
-        raise InvalidModel("section enumeration exceeds the desk-scale bound")
+    # The scan stops at t = c_right, the least t (no later pair is minimal).
+    # t exceeds c_right while some exceptional bound does; after that
+    # s * v_right[1] runs through every class mod |det|: |det| steps at most.
     pairs = []
-    for s in range(c_left, s_free + step):
+    for s in range(c_left, c_left + ENUMERATION_LIMIT):
         t = c_right
         for cs, alpha, beta in exc:
             t = max(t, _ceildiv(cs - alpha * s, beta))
@@ -291,6 +288,8 @@ def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[s
         pairs.append((s, t))
         if t == c_right:
             break
+    else:
+        raise InvalidModel("section enumeration exceeds the desk-scale bound")
     return _minimal_stairs(pairs)
 
 

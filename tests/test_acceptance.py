@@ -18,7 +18,6 @@ from surfideals.compare import catalog_entries, compare_entry
 from surfideals.divisors import DivisorLabel, DivisorVector, floor_inequality_check
 from surfideals.frobenius import CharPContext, boundary_containment_check
 from surfideals.frobenius import test_ideal as tau
-from surfideals.frobenius import test_ideal_of_divisor as tau_of_divisor
 from surfideals.linalg import solve
 from surfideals.multiplier import (
     PairSpec,
@@ -68,10 +67,10 @@ def test_criterion_1_main_theorem_catalog():
     for entry in catalog_entries():
         report = compare_entry(entry)
         model = entry.model()
-        z, gamma = entry.pair().z, model.boundary_divisor().scale(Fraction(1, 2))
+        pair, gamma = entry.pair(), model.boundary_divisor().scale(Fraction(1, 2))
         for v in report.verdicts:
             checked += 1
-            boundary = boundary_containment_check(model, CharPContext(v.p), z, entry.lam, gamma)
+            boundary = boundary_containment_check(pair, CharPContext(v.p), gamma)
             if v.verdict != "equal" or not boundary:
                 failures.append((entry.entry_id, v.p, v.verdict, boundary))
     elapsed = time.time() - t0
@@ -98,7 +97,7 @@ def test_criterion_2_smooth_chart_calibration():
                     bad.append(("J", b, c, lam))
                 for p in (2, 3, 5, 7):
                     total += 1
-                    if tau(SMOOTH, CharPContext(p), z, lam).gens != expected:
+                    if tau(PairSpec(SMOOTH, z, lam), CharPContext(p)).gens != expected:
                         bad.append(("tau", b, c, lam, p))
     _report(
         2,
@@ -223,12 +222,12 @@ def test_criterion_7_containment_suites():
         p = _pick_prime(model.r)
         ctx = CharPContext(p)
         w = pair.scaled_z()
-        tau_plain = tau_of_divisor(model, ctx, w)
+        tau_plain = tau(PairSpec(model, w), ctx)
         full = multiplier_ideal(pair)
         res = to_resolution(model)
         for gamma in gamma_pool[(model.r, model.a)]:
             tau_sum_total += 1
-            if not tau_of_divisor(model, ctx, w + gamma).issubset(tau_plain):
+            if not tau(PairSpec(model, w + gamma), ctx).issubset(tau_plain):
                 tau_sum_fail += 1
             bdry_total += 1
             decorated = multiplier_with_boundary(pair, gamma)

@@ -78,13 +78,29 @@ def test_bad_rationals_are_bad_parameters(capsys, argv):
     [
         ("mult-ideal", "cyclic:2503/2", "--z", "boundary", "--lambda", "1/2"),
         ("test-ideal", "cyclic:2503/2", "--z", "boundary", "--lambda", "1/2", "--p", "5"),
+        ("mult-ideal", "cyclic:4000003/2", "--z", "boundary", "--lambda", "1/2"),
     ],
 )
 def test_large_index_section_scan(capsys, argv):
-    # the section scan visits O(r) values of s, so r in the thousands is in reach
+    # a section scan visits at most about r values of s, so r in the thousands
+    # is in reach; the cap counts the s visited, and the unit ideal's scan
+    # stops at its first s even for r past ENUMERATION_LIMIT
     code, doc = run_cli(capsys, *argv)
     assert code == 0
     assert doc["ideal"] == {"generators": [[0, 0]], "is_unit": True}
+
+
+@pytest.mark.parametrize(
+    "z,lam",
+    [('{"BL":"-1"}', "0"), ('{"E1":"1"}', "1"), ("boundary", "-1")],
+)
+def test_invalid_pair_gets_one_error_from_every_pair_command(capsys, z, lam):
+    # PairSpec is the one validator of a toric pair, lambda = 0 included
+    pair = ("cyclic:5/2", "--z", z, "--lambda", lam)
+    results = [run_cli(capsys, "mult-ideal", *pair), run_cli(capsys, "test-ideal", *pair, "--p", "3"),
+               run_cli(capsys, "compare", *pair, "--primes", "3")]
+    assert results[0][0] == 1 and results[0][1]["error"]["type"] == "InvalidModel"
+    assert results == [results[0]] * 3
 
 
 def test_compare_huge_denominator_pair(capsys):
@@ -201,6 +217,8 @@ def test_model_file_errors_have_context(capsys, tmp_path):
         ({"label": "E1", "self_intersection": "x"}, None),
         (3, None),
         ({"label": "E1", "self_intersection": -2}, {"label": "C", "kind": "weird", "meets": [1]}),
+        ({"label": "E1", "self_intersection": -2.5}, None),
+        ({"label": "E1", "self_intersection": -2, "genus": 0.7}, None),
     ],
 )
 def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curve, extra):

@@ -52,7 +52,7 @@ def test_checks_are_recorded():
     gamma = model.boundary_divisor().scale(Fraction(1, 2))
     for v in report.verdicts:
         assert v.verdict == "equal"
-        assert boundary_containment_check(model, CharPContext(v.p), entry.pair().z, entry.lam, gamma)
+        assert boundary_containment_check(entry.pair(), CharPContext(v.p), gamma)
 
 
 def test_report_dict_is_deterministic():

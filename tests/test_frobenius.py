@@ -13,7 +13,7 @@ from surfideals.frobenius import (
     _closure,
     _seed,
     _stable_depth,
-    _trace_image_cached,
+    _trace_image,
     _twist_bounds,
     boundary_containment_check,
     boundary_monomial,
@@ -21,7 +21,6 @@ from surfideals.frobenius import (
     numerical_containment_check,
     test_ideal as tau,
     test_ideal_detailed as tau_detailed,
-    test_ideal_of_divisor as tau_of_divisor,
     trace_apply,
     trace_maps,
     trace_value,
@@ -53,7 +52,7 @@ def test_calibration_identity_on_smooth_chart():
     # the minimal twist at e=1 sends x^(p-1) y^(p-1) to 1 and x to 0
     for p in (2, 3, 5):
         ctx = CharPContext(p)
-        maps = trace_maps(SMOOTH, ctx, 1, DivisorVector.zero())
+        maps = trace_maps(PairSpec(SMOOTH, DivisorVector.zero()), ctx, 1)
         assert len(maps) == 1
         tm = maps[0]
         assert tm.twist == (1 - p, 1 - p)
@@ -63,7 +62,7 @@ def test_calibration_identity_on_smooth_chart():
 
 def test_trace_on_unit_ideal_is_unit():
     ctx = CharPContext(2)
-    tm = trace_maps(SMOOTH, ctx, 1, DivisorVector.zero())[0]
+    tm = trace_maps(PairSpec(SMOOTH, DivisorVector.zero()), ctx, 1)[0]
     assert trace_apply(SMOOTH, ctx, tm, MonomialIdeal.unit(SMOOTH)).is_unit()
 
 
@@ -72,7 +71,7 @@ def test_trace_image_of_a1_maximal_ideal():
     # whole ring: computational reflection of F-regularity
     ctx = CharPContext(3)
     maximal = MonomialIdeal.from_points(A1, [(1, 0), (1, 1), (1, 2)])
-    maps = trace_maps(A1, ctx, 1, DivisorVector.zero())
+    maps = trace_maps(PairSpec(A1, DivisorVector.zero()), ctx, 1)
     assert maps, "the twist module must be nonzero"
     image = MonomialIdeal(A1, ())
     combined = maximal
@@ -95,7 +94,7 @@ def test_trace_image_full_not_fundamental_domain_truncation():
 
 
 def test_depth_image_is_the_sum_over_trace_maps():
-    # the lemma of _trace_image_cached: one corner per generator at the
+    # the lemma of _trace_image: one corner per generator at the
     # bounds of T_e gives the image under every depth-e map at once
     rng = random.Random(44)
     models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 13) for a in range(1, r) if math.gcd(r, a) == 1]
@@ -109,8 +108,8 @@ def test_depth_image_is_the_sum_over_trace_maps():
                 w = model.divisor({LEFT: wl, RIGHT: wr})
                 ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
                 q = p**e
-                image = MonomialIdeal(model, _trace_image_cached(model, q, _twist_bounds(q, wl, wr), ideal.stairs))
-                maps = trace_maps(model, ctx, e, w)
+                image = MonomialIdeal(model, _trace_image(model, q, _twist_bounds(q, wl, wr), ideal.stairs))
+                maps = trace_maps(PairSpec(model, w), ctx, e)
                 expected = MonomialIdeal(model, ())
                 for tm in maps:
                     expected = expected.sum(trace_apply(model, ctx, tm, ideal))
@@ -127,7 +126,7 @@ def test_trace_apply_preserves_inclusions():
     rng = random.Random(12)
     ctx = CharPContext(3)
     w = A1.boundary_divisor().scale(Fraction(1, 2))
-    maps = [tm for e in (1, 2) for tm in trace_maps(A1, ctx, e, w)]
+    maps = [tm for e in (1, 2) for tm in trace_maps(PairSpec(A1, w), ctx, e)]
     monoid = [(i, j) for i in range(0, 5) for j in range(0, 2 * 4 + 1) if A1.in_monoid((i, j))]
     for _ in range(15):
         small = MonomialIdeal.from_points(A1, rng.sample(monoid, 2))
@@ -144,19 +143,19 @@ def test_boundary_monomial_seeds():
 def test_smooth_chart_closed_form():
     z = SMOOTH.divisor({RIGHT: 1})
     for p in (2, 3, 5):
-        assert tau(SMOOTH, CharPContext(p), z, Fraction(3, 2)).gens == ((1, 0),)
-        assert tau(SMOOTH, CharPContext(p), z, Fraction(1, 2)).is_unit()
+        assert tau(PairSpec(SMOOTH, z, Fraction(3, 2)), CharPContext(p)).gens == ((1, 0),)
+        assert tau(PairSpec(SMOOTH, z, Fraction(1, 2)), CharPContext(p)).is_unit()
 
 
 def test_quotients_with_no_divisor_are_f_regular():
-    assert tau(A1, CharPContext(3), DivisorVector.zero(), 0).is_unit()
-    assert tau(THIRD, CharPContext(5), DivisorVector.zero(), 0).is_unit()
+    assert tau(PairSpec(A1, DivisorVector.zero(), 0), CharPContext(3)).is_unit()
+    assert tau(PairSpec(THIRD, DivisorVector.zero(), 0), CharPContext(5)).is_unit()
 
 
 def test_wild_primes_agree_with_multiplier_ideal():
     # p | r is in scope: tau = J for toric pairs in every characteristic
     for model, p in ((A1, 2), (THIRD, 3)):
-        t = tau(model, CharPContext(p), DivisorVector.zero(), 0)
+        t = tau(PairSpec(model, DivisorVector.zero(), 0), CharPContext(p))
         assert t == multiplier_ideal(PairSpec(model, DivisorVector.zero(), Fraction(0)))
         assert t.is_unit()
 
@@ -171,7 +170,7 @@ def test_seed_independence_over_catalog():
             seed = _seed(model, lam, lam)
             deeper = (seed[0] + b[0], seed[1] + b[1])
             for p in (2, 3):
-                detail = tau_detailed(model, CharPContext(p), model.boundary_divisor(), lam)
+                detail = tau_detailed(PairSpec(model, model.boundary_divisor(), lam), CharPContext(p))
                 assert detail.ideal == _closure(model, p, lam, lam, deeper).ideal, (model, lam, p)
                 assert detail.depth_used >= 1
 
@@ -190,7 +189,7 @@ def test_stable_depth_lemma():
 
             def image(e):
                 q = p**e
-                return _trace_image_cached(model, q, _twist_bounds(q, wl, wr), ideal.stairs)
+                return _trace_image(model, q, _twist_bounds(q, wl, wr), ideal.stairs)
 
             at_stable = image(stable)
             for e in range(stable + 1, stable + 8):
@@ -201,7 +200,7 @@ def test_adaptive_depth_reaches_the_fixed_point():
     # depths 1..4 alone leave the ideal short of closed: a round must go
     # to the stable depth of its new stairs before the ideal is the unit
     model = hj_resolve(11, 1)
-    detail = tau_detailed(model, CharPContext(2), model.boundary_divisor(), Fraction(2, 3))
+    detail = tau_detailed(PairSpec(model, model.boundary_divisor(), Fraction(2, 3)), CharPContext(2))
     assert detail.ideal.is_unit()
     assert detail.depth_used > 4
 
@@ -209,7 +208,7 @@ def test_adaptive_depth_reaches_the_fixed_point():
 def test_large_index_closure_stops_at_the_stable_depth():
     # ord_5 mod 5006 is 2502; the stable depth of this pair is a few steps
     model = hj_resolve(2503, 2)
-    detail = tau_detailed(model, CharPContext(5), model.boundary_divisor(), Fraction(1, 2))
+    detail = tau_detailed(PairSpec(model, model.boundary_divisor(), Fraction(1, 2)), CharPContext(5))
     assert detail.ideal.is_unit()
     assert detail.depth_used <= 10
 
@@ -219,7 +218,7 @@ def test_monotone_in_lambda():
     z = model.boundary_divisor()
     ctx = CharPContext(7)
     lams = [Fraction(k, 4) for k in range(0, 9)]
-    ideals = [tau(model, ctx, z, lam) for lam in lams]
+    ideals = [tau(PairSpec(model, z, lam), ctx) for lam in lams]
     for smaller_lam, larger_lam in zip(ideals, ideals[1:]):
         assert larger_lam.issubset(smaller_lam)
 
@@ -227,31 +226,31 @@ def test_monotone_in_lambda():
 def test_boundary_containment_examples():
     ctx = CharPContext(3)
     z = SMOOTH.divisor({RIGHT: 1})
-    assert boundary_containment_check(SMOOTH, ctx, z, 1, DivisorVector.zero())
+    assert boundary_containment_check(PairSpec(SMOOTH, z, 1), ctx, DivisorVector.zero())
     gamma = SMOOTH.divisor({LEFT: "1/2"})
-    assert boundary_containment_check(SMOOTH, ctx, z, 1, gamma)
+    assert boundary_containment_check(PairSpec(SMOOTH, z, 1), ctx, gamma)
     # both sides computable by the closed form: tau((1/2) div y + div x) = (x)
-    both = tau_of_divisor(SMOOTH, ctx, z + gamma)
+    both = tau(PairSpec(SMOOTH, z + gamma), ctx)
     assert both.gens == ((1, 0),)
     with pytest.raises(NonEffectiveGamma):
-        boundary_containment_check(SMOOTH, ctx, z, 1, SMOOTH.divisor({LEFT: -1}))
+        boundary_containment_check(PairSpec(SMOOTH, z, 1), ctx, SMOOTH.divisor({LEFT: -1}))
 
 
 def test_boundary_containment_on_quotient():
     model = hj_resolve(5, 2)
     ctx = CharPContext(7)
     gamma = model.divisor({LEFT: "3/2", RIGHT: "1/3"})
-    assert boundary_containment_check(model, ctx, model.boundary_divisor(), Fraction(1, 2), gamma)
+    assert boundary_containment_check(PairSpec(model, model.boundary_divisor(), Fraction(1, 2)), ctx, gamma)
 
 
 def test_numerical_containment():
     for p in (3, 5):
-        assert numerical_containment_check(A1, CharPContext(p), DivisorVector.zero(), 0)
+        assert numerical_containment_check(PairSpec(A1, DivisorVector.zero(), 0), CharPContext(p))
     z = SMOOTH.divisor({RIGHT: 2, LEFT: 1})
     for lam in (Fraction(1, 2), Fraction(5, 6)):
-        assert numerical_containment_check(SMOOTH, CharPContext(3), z, lam)
+        assert numerical_containment_check(PairSpec(SMOOTH, z, lam), CharPContext(3))
         # on the smooth chart both sides agree exactly
-        ti = tau(SMOOTH, CharPContext(3), z, lam)
+        ti = tau(PairSpec(SMOOTH, z, lam), CharPContext(3))
         assert ti == multiplier_ideal(PairSpec(SMOOTH, z, lam))
 
 
@@ -264,7 +263,7 @@ def test_smooth_chart_snc_grid():
                 z = SMOOTH.divisor({RIGHT: b, LEFT: c})
                 for lam in (Fraction(1, 2), Fraction(4, 3)):
                     expected = ((math.floor(lam * b), math.floor(lam * c)),)
-                    assert tau(SMOOTH, ctx, z, lam).gens == expected
+                    assert tau(PairSpec(SMOOTH, z, lam), ctx).gens == expected
 
 
 def test_closure_against_brute_force_oracle():
@@ -280,6 +279,6 @@ def test_closure_against_brute_force_oracle():
         for p in (2, 3, 5):
             for _ in range(3):
                 wl, wr = (Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(2))
-                ideal = tau_of_divisor(model, CharPContext(p), model.divisor({LEFT: wl, RIGHT: wr}))
+                ideal = tau(PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr})), CharPContext(p))
                 got = {u for u in box_points if ideal.contains_point(u)}
                 assert got == brute_test_ideal(model, p, wl, wr, box), (model, p, wl, wr, ideal.gens)

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ideal_points, brute_module_gens
+from surfideals import toric
 from surfideals.divisors import DivisorVector
-from surfideals.errors import BadParameters, NotIntegral
+from surfideals.errors import BadParameters, InvalidModel, NotIntegral
 from surfideals.linalg import determinant
 from surfideals.resolution import discrepancies, numerical_pullback, relative_canonical
 from surfideals.toric import (
@@ -127,6 +128,27 @@ def test_section_module_against_brute_force():
                     bounds[name] = rng.randint(-4, 4)
             gens = section_module_min_gens(model, bounds)
             assert list(gens) == brute_module_gens(model, bounds)
+
+
+def test_section_scan_cap_counts_the_s_values_visited(monkeypatch):
+    # ENUMERATION_LIMIT caps the s values one scan visits, not |det| past the
+    # last binding bound: a scan that stops at its first s passes a cap of 1
+    model = hj_resolve(7, 3)
+    bounds = {LEFT: 0, RIGHT: 5}
+    expected = section_module_min_gens(model, bounds)
+    outcomes = []
+    for limit in range(1, 9):
+        monkeypatch.setattr(toric, "ENUMERATION_LIMIT", limit)
+        toric._section_min_gens_cached.cache_clear()
+        assert section_module_min_gens(model, {LEFT: 0, RIGHT: 0}) == ((0, 0),)
+        try:
+            outcomes.append(section_module_min_gens(model, bounds))
+        except InvalidModel:
+            outcomes.append(None)
+    toric._section_min_gens_cached.cache_clear()
+    visited = outcomes.count(None) + 1
+    assert 1 < visited <= 7
+    assert outcomes == [None] * (visited - 1) + [expected] * (9 - visited)
 
 
 def test_pushforward_examples():
