@@ -132,6 +132,8 @@ def load_model(address: str) -> Union[toric.ToricSurfaceModel, resolution.Resolu
         raise ModelFileError(f"cannot read model file {address!r}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{address}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{address}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"{address}: top-level value must be an object")
     return _model_from_dict(doc, address)
@@ -217,7 +219,7 @@ def cmd_discrepancy(args) -> dict:
     rc = resolution.relative_canonical(res)
     return {
         "relative_canonical": divisor_doc(rc),
-        "discrepancies": {n: frac_str(v) for n, v in resolution.discrepancies(res).items()},
+        "discrepancies": {c.label.name: frac_str(rc.coeff(c.label)) for c in res.curves},
     }
 
 

@@ -25,11 +25,11 @@ RatLike = Union[int, str, Fraction]
 def rat(x: RatLike) -> Fraction:
     """Coerce an int, a string like ``"-2/3"``, or a Fraction to Fraction.
 
-    Floats are rejected: the whole library is exact by contract.
+    Floats and bools are rejected: the whole library is exact by contract.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)

@@ -12,13 +12,13 @@ smooth chart, and validated against the monomial closed form for test
 ideals on that chart.
 
 The test ideal of (X, W) is the smallest nonzero ideal closed under all
-such maps.  It is computed as a fixed point: seed with a monomial proved
-to lie in every nonzero closed ideal (see `_seed`), and add images under
-the maps of every depth until nothing new appears.  The image of an ideal
-under all depth-e maps at once is one corner module per stair (the lemma
-in `_trace_image`).  The monomial description of the maps holds on
-every affine toric ring (Payne 2009), so every prime p is allowed,
-including p dividing r.
+such maps.  It is computed as a fixed point: seed with the module
+O_X(-ceil(W)), which the lemma of `_seed` puts inside every nonzero closed
+ideal, and add images under the maps of every depth until nothing new
+appears.  The image of an ideal under all depth-e maps at once is one
+corner module per stair (the lemma in `_trace_image`).  The monomial
+description of the maps holds on every affine toric ring (Payne 2009),
+so every prime p is allowed, including p dividing r.
 
 Closure under shallow maps does not imply closure under deep ones (the
 round-ups in the twist bounds are superadditive, so deep maps are not
@@ -42,7 +42,7 @@ stairs of I and both rays (`_stable_depth`).
 
 Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  `_closure` runs
 rounds; each works on Delta, the stairs that the previous round added
-(the seed's stair first).  It takes the corners of every stair of Delta
+(the seed's stairs first).  It takes the corners of every stair of Delta
 at every depth e = 1..E(Delta), keeps the minimal ones that the ideal
 does not already contain, and adds their corner modules.  It stops when
 a round adds no stair.
@@ -55,8 +55,9 @@ a round adds no stair.
     bounds are nondecreasing in the pairings.  By the lemma of
     `_trace_image`, the result is closed under every map of every
     depth, and it contains the seed, so it contains tau.
-  * Every added monomial is the image of an element of the ideal, so the
-    result lies inside tau.  Hence the result is tau.
+  * The seed lies in tau and every added monomial is the image of an
+    element of the ideal, so the result lies inside tau.  Hence the
+    result is tau.
   * Every round that does not stop strictly grows a monomial ideal, and
     ascending chains of ideals in the noetherian ring k[S] stop, so the
     closure terminates.
@@ -67,7 +68,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .divisors import DivisorVector
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
@@ -183,29 +183,15 @@ def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal
 # -- test ideals -----------------------------------------------------------
 
 
-def _lexmin_section(model: ToricSurfaceModel, s_min: int, t_min: int) -> Point:
-    """The lexicographically least generator u of the corner module
-    {u : <u, v_left> >= s_min, <u, v_right> >= t_min}."""
-    return min(map(model.point, corner_stairs(model, s_min, t_min)))
+def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> tuple[Pair, ...]:
+    """The staircase of O_X(-ceil(W)), W = wl B_left + wr B_right with
+    wl, wr >= 0: the x^a with <a, v> >= ceil(w_v) on both boundary rays v.
+    It lies in tau(X, W), so the closure of it is tau(X, W).
 
-
-def boundary_monomial(model: ToricSurfaceModel) -> Point:
-    """Least monomial vanishing on the whole toric boundary (and hence on
-    the singular point); the designated test element."""
-    return _lexmin_section(model, 1, 1)
-
-
-def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> Point:
-    """A monomial x^s in tau(X, W), W = wl B_left + wr B_right with
-    wl, wr >= 0, so that closure(x^s) = tau(X, W).
-
-    s = b + a, where b is the boundary monomial and a the least section
-    with <a, v> >= ceil(w_v) on both boundary rays v.
-
-    Lemma: x^a lies in every nonzero ideal I closed under the twisted
-    trace maps, hence x^s does too.  Pick f != 0 in I and a monomial x^u
-    of f; take e with p^e above every exponent difference in f and
-    p^e - 1 >= <u, v> on both rays, and put c = p^e a - u.  Since w_v >= 0,
+    Lemma: every such x^a lies in every nonzero ideal I closed under the
+    twisted trace maps.  Pick f != 0 in I and a monomial x^u of f; take e
+    with p^e above every exponent difference in f and p^e - 1 >= <u, v> on
+    both rays, and put c = p^e a - u.  Since w_v >= 0,
     ceil((p^e - 1) w_v) <= p^e ceil(w_v), so
         <c, v> = p^e <a, v> - <u, v> >= p^e ceil(w_v) - (p^e - 1)
                >= (1 - p^e) + ceil((p^e - 1) w_v),
@@ -213,14 +199,13 @@ def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> Point:
     (p^e does not divide its difference from u), so phi_c(f) is a nonzero
     multiple of x^a, which therefore lies in I.
 
-    Hence x^s lies in tau(X, W), the closure of x^s is contained in tau,
-    and being a nonzero closed ideal it also contains tau (Schwede,
-    test ideals in non-Q-Gorenstein rings, 2011).  Any other seed in tau
-    gives the same ideal, so one closure is enough.
+    Hence O_X(-ceil(W)) lies in tau(X, W), its closure is contained in tau,
+    and being a nonzero closed ideal it also contains tau (Schwede, test
+    ideals in non-Q-Gorenstein rings, 2011).  Any other seed in tau gives
+    the same ideal.  For W = 0 the seed is the unit ideal, and for integral
+    W it is already tau, so the closure ends after one round.
     """
-    above_w = _lexmin_section(model, math.ceil(wl), math.ceil(wr))
-    b = boundary_monomial(model)
-    return (b[0] + above_w[0], b[1] + above_w[1])
+    return corner_stairs(model, math.ceil(wl), math.ceil(wr))
 
 
 def _stable_depth(p: int, wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
@@ -240,16 +225,16 @@ class TestIdealResult:
     depth_used: int
 
 
-def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: Point) -> TestIdealResult:
-    """Close the seed's ideal in semi-naive rounds: each maps Delta, the
-    stairs the last round added, at the depths 1..E(Delta).  Every stair x
-    is mapped once, at depths covering E({x}), so the result is closed
-    under every depth (module docstring); it holds the seed and only
-    images, so it is tau.  A round that adds a stair grows the ideal, so
-    the rounds stop (k[S] is noetherian).  `depth_used` is the largest
-    depth any round applied."""
-    ideal = MonomialIdeal.from_points(model, [seed])
-    delta, depth_used = ideal.stairs, 0
+def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: tuple[Pair, ...]) -> TestIdealResult:
+    """Close the ideal with staircase `seed` in semi-naive rounds: each
+    maps Delta, the stairs the last round added, at the depths
+    1..E(Delta).  Every stair x is mapped once, at depths covering E({x}),
+    so the result is closed under every depth (module docstring); it holds
+    the seed and only images, so it is tau.  A round that adds a stair
+    grows the ideal, so the rounds stop (k[S] is noetherian).
+    `depth_used` is the largest depth any round applied."""
+    ideal = MonomialIdeal(model, seed)
+    delta, depth_used = seed, 0
     while delta:
         depth = _stable_depth(p, wl, wr, delta)
         depth_used = max(depth_used, depth)
@@ -261,22 +246,21 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
     return TestIdealResult(ideal, depth_used)
 
 
-@lru_cache(maxsize=None)
-def _test_ideal_cached(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction) -> TestIdealResult:
+def _test_ideal(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction) -> TestIdealResult:
     """tau(X, W) for W = wl B_left + wr B_right: a toric pair, validated by
-    `PairSpec`, is its model and two boundary coefficients, the whole key."""
+    `PairSpec`, is its model and two boundary coefficients."""
     return _closure(model, p, wl, wr, _seed(model, wl, wr))
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:
     """tau(X, lambda Z) with the largest Frobenius depth its closure used."""
-    return _test_ideal_cached(pair.model, ctx.p, pair.w_left, pair.w_right)
+    return _test_ideal(pair.model, ctx.p, pair.w_left, pair.w_right)
 
 
 def test_ideal(pair: PairSpec, ctx: CharPContext) -> MonomialIdeal:
     """tau(X, lambda Z): the smallest nonzero ideal J with
     phi(F^e_* J) included in J for every twisted trace map phi."""
-    return _test_ideal_cached(pair.model, ctx.p, pair.w_left, pair.w_right).ideal
+    return _test_ideal(pair.model, ctx.p, pair.w_left, pair.w_right).ideal
 
 
 def test_ideal_of_divisor(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> MonomialIdeal:

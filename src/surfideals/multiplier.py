@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .divisors import DivisorVector, RatLike, rat
 from .errors import InvalidModel, NonEffectiveGamma
@@ -74,7 +73,6 @@ class PairSpec:
         return self.z.scale(self.lam)
 
 
-@lru_cache(maxsize=None)
 def numerical_relative_canonical(model: ToricSurfaceModel) -> DivisorVector:
     """K^num = K_Y - pi^* K_X: -1 - <ell_K, v> on each exceptional ray v,
     with ell_K the support function of K_X (module docstring)."""
@@ -82,18 +80,20 @@ def numerical_relative_canonical(model: ToricSurfaceModel) -> DivisorVector:
     return DivisorVector((label, -1 - dot(ell, v)) for label, v in zip(model.exceptional_labels, model.exceptional_rays))
 
 
-def _round_up_sections(model: ToricSurfaceModel, c_left: Fraction, c_right: Fraction) -> MonomialIdeal:
-    """pi_* O_Y(ceil(K_Y - pi^* D)) for D = c_left B_left + c_right B_right.
+def _round_up_sections(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> MonomialIdeal:
+    """J(X, W) = pi_* O_Y(ceil(K^num - pi^* W)) for W = wl B_left + wr B_right
+    with wl, wr >= 0.
 
-    pi^* D is <ell, v> on the ray v, ell = support_function(D), and K_Y is
-    -1, so x^u is a section iff <u, v> >= -ceil(-1 - <ell, v>) =
-    1 + floor(<ell, v>) on every ray v, and >= 0 on the boundary rays as
-    in `pushforward_sections`.  A bound <= 0 on an exceptional ray holds
-    on the whole monoid (the ray is interior to the cone), so it is left
-    out of the scan.
+    K^num - pi^* W is K_Y - pi^* D with D = K_X + W, which is w_v - 1 on
+    each boundary ray v.  pi^* D is <ell, v> on the ray v,
+    ell = support_function(D), and K_Y is -1, so x^u is a section iff
+    <u, v> >= -ceil(-1 - <ell, v>) = 1 + floor(<ell, v>) on every ray v:
+    floor(w_v) on the boundary rays.  A bound <= 0 on an exceptional ray
+    holds on the whole monoid (the ray is interior to the cone), so it is
+    left out of the scan.
     """
-    ell = support_function(model, c_left, c_right)
-    bounds = {LEFT: max(0, 1 + math.floor(c_left)), RIGHT: max(0, 1 + math.floor(c_right))}
+    ell = support_function(model, wl - 1, wr - 1)
+    bounds = {LEFT: math.floor(wl), RIGHT: math.floor(wr)}
     for label, v in zip(model.exceptional_labels, model.exceptional_rays):
         bound = 1 + math.floor(dot(ell, v))
         if bound > 0:
@@ -101,16 +101,9 @@ def _round_up_sections(model: ToricSurfaceModel, c_left: Fraction, c_right: Frac
     return MonomialIdeal(model, _section_min_gens_cached(model, tuple(sorted(bounds.items()))))
 
 
-@lru_cache(maxsize=None)
-def _multiplier_cached(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> MonomialIdeal:
-    """J(X, W) for W = wl B_left + wr B_right: K^num - pi^* W is
-    K_Y - pi^*(K_X + W), and K_X is -1 on both boundary rays."""
-    return _round_up_sections(model, wl - 1, wr - 1)
-
-
 def multiplier_ideal(pair: PairSpec) -> MonomialIdeal:
     """Sections of the round-up of K^num - pi*(lambda Z), pushed to X."""
-    return _multiplier_cached(pair.model, pair.w_left, pair.w_right)
+    return _round_up_sections(pair.model, pair.w_left, pair.w_right)
 
 
 def multiplier_m_limiting(pair: PairSpec, m: int) -> MonomialIdeal:
@@ -135,7 +128,7 @@ def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialId
     if not delta.is_effective():
         raise NonEffectiveGamma("Delta must be effective")
     bl, br = model.boundary_labels
-    return _round_up_sections(model, delta.coeff(bl) + pair.w_left - 1, delta.coeff(br) + pair.w_right - 1)
+    return _round_up_sections(model, pair.w_left + delta.coeff(bl), pair.w_right + delta.coeff(br))
 
 
 def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, MonomialIdeal]]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -128,7 +127,6 @@ def _exceptional_completion(model: ResolutionModel, dots: Sequence[Fraction]) ->
     return linalg.solve(model.matrix, list(dots))
 
 
-@lru_cache(maxsize=None)
 def relative_canonical(model: ResolutionModel) -> DivisorVector:
     """K_Y - pi*_num(K_X), supported on the exceptional curves.
 

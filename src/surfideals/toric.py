@@ -201,7 +201,6 @@ def pullback_divisor(model: ToricSurfaceModel, z: DivisorVector) -> DivisorVecto
     return DivisorVector([(label, dot(ell, vec)) for label, vec in model.rays()])
 
 
-@lru_cache(maxsize=None)
 def cartier_index(model: ToricSurfaceModel) -> int:
     """Smallest m >= 1 with m*K_X Cartier (K_X = -sum of boundary divisors)."""
     ell = support_function(model, Fraction(-1), Fraction(-1))
@@ -213,7 +212,6 @@ def canonical_divisor_on_resolution(model: ToricSurfaceModel) -> DivisorVector:
     return DivisorVector([(label, Fraction(-1)) for label, _ in model.rays()])
 
 
-@lru_cache(maxsize=None)
 def to_resolution(model: ToricSurfaceModel) -> ResolutionModel:
     """Intersection-theoretic shadow: the chain of -b_i rational curves,
     with both boundary divisors as extras meeting the ends of the chain."""

@@ -65,6 +65,7 @@ def test_test_ideal_smooth_chart(capsys):
         ("mult-ideal", "cyclic:3/1", "--lambda", "abc"),
         ("test-ideal", "cyclic:3/1", "--lambda", "1/0", "--p", "5"),
         ("mult-ideal", "cyclic:3/1", "--z", '{"BR": 1.5}'),
+        ("mult-ideal", "cyclic:5/2", "--z", '{"BL": true}', "--lambda", "1"),
     ],
 )
 def test_bad_rationals_are_bad_parameters(capsys, argv):
@@ -209,6 +210,11 @@ def test_model_file_errors_have_context(capsys, tmp_path):
     code, doc = run_cli(capsys, "discrepancy", str(path))
     assert code == 1
     assert ":1:" in doc["error"]["message"]
+    path.write_bytes(b"\xff\xfe{}")
+    code, doc = run_cli(capsys, "discrepancy", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "ModelFileError"
+    assert str(path) in doc["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -219,6 +225,7 @@ def test_model_file_errors_have_context(capsys, tmp_path):
         ({"label": "E1", "self_intersection": -2}, {"label": "C", "kind": "weird", "meets": [1]}),
         ({"label": "E1", "self_intersection": -2.5}, None),
         ({"label": "E1", "self_intersection": -2, "genus": 0.7}, None),
+        ({"label": "E1", "self_intersection": -2}, {"label": "C", "meets": [1], "pushforward": True}),
     ],
 )
 def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curve, extra):
@@ -319,3 +326,15 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]
+
+
+def test_discrepancy_solves_one_linear_system(capsys, monkeypatch):
+    # the discrepancies are read off the relative canonical divisor the
+    # command has already solved for
+    solves = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+    code, doc = run_cli(capsys, "discrepancy", "cyclic:64/63")
+    assert code == 0
+    assert len(solves) == 1
+    assert doc["discrepancies"] == {f"E{i}": "0" for i in range(1, 64)}

@@ -1,0 +1,163 @@
+"""Hypothesis fuzz of the command-line grammar, model files included.
+
+Every input must end in a JSON result (exit 0), a typed JSON error named
+after a `DomainError` (exit 1) or an argparse usage error (exit 2); no
+other exception may escape `cli.main`.  Numbers stay small (r <= 12,
+numerators and denominators below 13) so that every command finishes at
+desk scale: the work of a jumping-number scan, for one, grows with
+lambda_max times the coefficients of Z.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfideals import errors
+from surfideals.cli import main
+
+DOMAIN_ERRORS = {
+    name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.DomainError)
+}
+
+small_ints = st.integers(-3, 12)
+nonnegative_rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)).map(str)
+rational_text = st.one_of(nonnegative_rationals, st.builds("{}/{}".format, small_ints, st.integers(-2, 12)))
+
+
+def _is_small(text: str) -> bool:
+    """Free text that parses as a rational stays below the size bound."""
+    try:
+        x = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return True
+    return abs(x.numerator) <= 12 and x.denominator <= 12
+
+
+free_text = st.text(max_size=5).filter(_is_small)
+rational_like = st.one_of(rational_text, free_text)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), small_ints, st.floats(-12, 12), rational_like),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=6,
+)
+ray_names = st.sampled_from(["BL", "BR", "E1", "E2", "C", "X"])
+coeff_maps = st.dictionaries(ray_names, st.one_of(rational_text, json_values), max_size=3).map(json.dumps)
+divisor_text = st.one_of(st.sampled_from(["0", "boundary"]), coeff_maps, json_values.map(json.dumps), free_text)
+valid_primes = st.lists(st.sampled_from(["2", "3", "5", "7"]), min_size=1, max_size=3).map(",".join)
+prime_lists = st.one_of(st.lists(small_ints.map(str), max_size=3).map(",".join), free_text)
+
+curves = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"label": st.one_of(st.sampled_from(["E1", "E2", "E3"]), json_values), "self_intersection": json_values},
+        optional={"genus": json_values},
+    ),
+)
+extras = st.one_of(
+    json_values,
+    st.fixed_dictionaries(
+        {"label": st.one_of(st.sampled_from(["C", "D"]), json_values), "meets": st.lists(json_values, max_size=3)},
+        optional={"kind": st.one_of(st.sampled_from(["boundary", "exceptional"]), json_values), "pushforward": json_values},
+    ),
+)
+model_docs = st.fixed_dictionaries(
+    {"kind": st.one_of(st.sampled_from(["cyclic", "dualgraph"]), json_values)},
+    optional={
+        "r": json_values,
+        "a": json_values,
+        "curves": st.one_of(st.lists(curves, max_size=3), json_values),
+        "intersections": st.one_of(st.lists(st.lists(json_values, max_size=4), max_size=3), json_values),
+        "extras": st.one_of(st.lists(extras, max_size=2), json_values),
+    },
+)
+dualgraph_docs = st.fixed_dictionaries({
+    "kind": st.just("dualgraph"),
+    "curves": st.lists(
+        st.fixed_dictionaries({"label": st.sampled_from(["E1", "E2", "E3"]), "self_intersection": st.integers(-4, -1),
+                               "genus": st.integers(0, 1)}),
+        min_size=1, max_size=3, unique_by=lambda c: c["label"]),
+    "intersections": st.lists(st.lists(st.integers(0, 2), min_size=3, max_size=3), max_size=2),
+    "extras": st.lists(
+        st.fixed_dictionaries({"label": st.sampled_from(["C", "D"]), "meets": st.lists(st.integers(0, 2), max_size=3)}),
+        max_size=2),
+})
+model_files = st.one_of(
+    st.binary(max_size=24),
+    model_docs.map(lambda doc: json.dumps(doc).encode()),
+    dualgraph_docs.map(lambda doc: json.dumps(doc).encode()),
+)
+cyclic_addresses = st.one_of(
+    st.builds("cyclic:{}/{}".format, st.integers(-1, 12), st.integers(-1, 12)),
+    free_text.map("cyclic:{}".format),
+)
+valid_addresses = st.sampled_from(["cyclic:1/1", "cyclic:2/1", "cyclic:3/1", "cyclic:5/2", "cyclic:7/3", "cyclic:12/5"])
+valid_divisors = st.one_of(
+    st.sampled_from(["0", "boundary"]),
+    st.dictionaries(st.sampled_from(["BL", "BR"]), nonnegative_rationals, max_size=2).map(json.dumps),
+)
+
+
+@st.composite
+def argvs(draw):
+    """One command line, with the model file it names (or None).  Half of
+    them draw every field from well-formed values, so that the success
+    paths are reached as well as the errors."""
+    command = draw(st.sampled_from([
+        "resolve", "pullback", "discrepancy", "mult-ideal", "m-limiting", "jumps",
+        "test-ideal", "compare", "check-negativity", "catalog",
+    ]))
+    if command == "resolve":
+        return [command, "--r", str(draw(st.integers(-2, 12))), "--a", str(draw(st.integers(-2, 12)))], None
+    if command == "catalog":
+        return [command], None
+    well_formed = draw(st.booleans())
+    file_bytes = draw(st.one_of(st.none(), model_files))
+    argv = [command, "MODEL" if file_bytes is not None else draw(valid_addresses if well_formed else cyclic_addresses)]
+    divisor, rational = (valid_divisors, nonnegative_rationals) if well_formed else (divisor_text, rational_like)
+    if command in ("pullback", "check-negativity"):
+        argv += ["--d", draw(coeff_maps)]
+    elif command == "jumps":
+        argv += ["--z", draw(divisor), "--lambda-max", draw(rational)]
+    elif command != "discrepancy":
+        argv += ["--z", draw(divisor), "--lambda", draw(rational)]
+    if command == "m-limiting":
+        argv += ["--m", str(draw(st.integers(1, 6) if well_formed else st.integers(-1, 6)))]
+    elif command == "test-ideal":
+        argv += ["--p", str(draw(st.sampled_from([2, 3, 5, 7]) if well_formed else st.integers(-1, 31)))]
+    elif command == "compare":
+        argv += ["--primes", draw(valid_primes if well_formed else prime_lists)]
+    return argv, file_bytes
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@given(argvs())
+def test_every_command_line_gets_json_or_a_usage_error(case):
+    argv, file_bytes = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if file_bytes is not None:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(file_bytes)
+            argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+        code, out = run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        return
+    doc = json.loads(out)
+    if code == 1:
+        assert doc["error"]["type"] in DOMAIN_ERRORS, (argv, doc)

@@ -22,6 +22,8 @@ def test_rat_accepts_exact_inputs_only():
     assert rat(-4) == Fraction(-4)
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(TypeError):
+        rat(True)
 
 
 def test_label_kind_checked():

@@ -16,7 +16,6 @@ from surfideals.frobenius import (
     _trace_image,
     _twist_bounds,
     boundary_containment_check,
-    boundary_monomial,
     is_prime,
     numerical_containment_check,
     test_ideal as tau,
@@ -135,11 +134,6 @@ def test_trace_apply_preserves_inclusions():
             assert trace_apply(A1, ctx, tm, small).issubset(trace_apply(A1, ctx, tm, big))
 
 
-def test_boundary_monomial_seeds():
-    assert boundary_monomial(SMOOTH) == (1, 1)
-    assert boundary_monomial(A1) == (1, 1)
-
-
 def test_smooth_chart_closed_form():
     z = SMOOTH.divisor({RIGHT: 1})
     for p in (2, 3, 5):
@@ -161,18 +155,25 @@ def test_wild_primes_agree_with_multiplier_ideal():
 
 
 def test_seed_independence_over_catalog():
-    # the seed lies in tau, so a deeper seed (times the boundary monomial)
-    # closes up to the same ideal, wild primes included
+    # every seed inside tau closes up to tau, wild primes included: one
+    # stair of the deeper module O_X(-ceil(W) - B) gives the same ideal
     models = [hj_resolve(r, a) for r in range(2, CATALOG_R_MAX + 1) for a in range(1, r) if math.gcd(r, a) == 1]
     for model in models:
-        b = boundary_monomial(model)
         for lam in (Fraction(1, 2), Fraction(5, 4)):
-            seed = _seed(model, lam, lam)
-            deeper = (seed[0] + b[0], seed[1] + b[1])
+            deeper = _seed(model, lam + 1, lam + 1)[:1]
             for p in (2, 3):
                 detail = tau_detailed(PairSpec(model, model.boundary_divisor(), lam), CharPContext(p))
                 assert detail.ideal == _closure(model, p, lam, lam, deeper).ideal, (model, lam, p)
                 assert detail.depth_used >= 1
+
+
+def test_seed_is_tau_for_integral_w():
+    # the seed O_X(-ceil(W)) lies in tau, and for integral W it is tau
+    for model in (SMOOTH, A1, THIRD, hj_resolve(7, 3), hj_resolve(12, 5)):
+        for wl, wr in ((0, 0), (1, 0), (2, 3), (5, 1)):
+            pair = PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr}))
+            for p in (2, 3, 7):
+                assert tau(pair, CharPContext(p)) == MonomialIdeal(model, _seed(model, Fraction(wl), Fraction(wr))), (model, wl, wr, p)
 
 
 def test_stable_depth_lemma():
