@@ -9,8 +9,12 @@ share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 
 A report never claims anything about untested primes: it records the
 smallest tested prime from which agreement is unbroken, and the verdict
-for each tested prime.  Every prime is tested, p | r included: for toric
-pairs tau = J in every characteristic (Blickle 2004).
+for each tested prime.  Every prime is tested, p | r included.  On toric
+pairs tau = J = O_X(-floor(W)) in every characteristic by theorem (the
+`multiplier` and `frobenius` module docstrings; Blickle 2004), so every
+verdict is `equal`.  The harness still computes tau from its definition,
+the trace-map closure, so each verdict checks that closure against the
+multiplier ideal rather than a formula against itself.
 """
 
 from __future__ import annotations

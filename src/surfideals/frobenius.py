@@ -61,6 +61,14 @@ a round adds no stair.
   * Every round that does not stop strictly grows a monomial ideal, and
     ascending chains of ideals in the noetherian ring k[S] stop, so the
     closure terminates.
+
+Corollary: tau(X, W) = O_X(-floor(W)), which is J(X, W) (`multiplier`),
+and the closure ends after at most two rounds.  At its stable depth a
+seed stair x >= ceil(w) has the corner floor(w) on each ray (the lemma;
+w - 1 + [x + 1 > w] = w for integer w), so the first round adds
+O_X(-floor(W)).  That module is closed: a stair x >= floor(w) has
+x + 1 - w + c > 0, so (x + b_v(e)) / q > w - 1 and its corner is at least
+floor(w) at every depth.  So the second round adds nothing.
 """
 
 from __future__ import annotations
@@ -226,13 +234,10 @@ class TestIdealResult:
 
 
 def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: tuple[Pair, ...]) -> TestIdealResult:
-    """Close the ideal with staircase `seed` in semi-naive rounds: each
-    maps Delta, the stairs the last round added, at the depths
-    1..E(Delta).  Every stair x is mapped once, at depths covering E({x}),
-    so the result is closed under every depth (module docstring); it holds
-    the seed and only images, so it is tau.  A round that adds a stair
-    grows the ideal, so the rounds stop (k[S] is noetherian).
-    `depth_used` is the largest depth any round applied."""
+    """Close the ideal with staircase `seed` in semi-naive rounds, each
+    mapping Delta, the stairs the last round added, at the depths
+    1..E(Delta) (module docstring).  `depth_used` is the largest depth
+    any round applied."""
     ideal = MonomialIdeal(model, seed)
     delta, depth_used = seed, 0
     while delta:

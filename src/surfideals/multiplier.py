@@ -12,11 +12,27 @@ Where K^num = K_Y - pi*_num K_X comes from.  On a toric model every
 torus-invariant Q-divisor is Q-Cartier, so pi*_num K_X is the pullback
 through the support function ell_K of K_X = -(B_left + B_right)
 (`toric.support_function`), and K^num is -1 - <ell_K, v> on each ray v:
-zero on the boundary rays, the discrepancy on the exceptional ones.
-That is linear in v, so the toric ideals are computed ray by ray and no
-intersection matrix is solved.  A dual-graph model has no fan: there
-K^num is the solution of the intersection-matrix system
-(`resolution.relative_canonical`, used by `numerical_multiplier_divisor`).
+zero on the boundary rays, the discrepancy on the exceptional ones.  A
+dual-graph model has no fan: there K^num is the solution of the
+intersection-matrix system (`resolution.relative_canonical`, used by
+`numerical_multiplier_divisor`).
+
+Theorem: J(X, W) = O_X(-floor(W)) for W = w_left B_left + w_right B_right
+with w_v >= 0 (Howald 2001; Blickle 2004).  K^num - pi^* W is
+K_Y - pi^* D with D = K_X + W; with ell the support function of D, so
+that <ell, v> = w_v - 1 on each boundary ray, and K_Y = -1 on every ray,
+x^u is a section of the round-up iff <u, v> >= 1 + floor(<ell, v>) on
+every ray v: floor(w_v) on the boundary rays.  Take u with
+<u, v> >= floor(w_v) > w_v - 1 on both boundary rays.  Then
+<u - ell, v> > 0 on every exceptional ray v, a positive combination of
+the boundary rays, so the integer <u, v> is at least 1 + floor(<ell, v>):
+the exceptional bounds never bind.
+
+Jumping numbers.  By the theorem J(tZ) changes only where t z_v crosses
+an integer on a boundary ray v, so the candidates in (0, lam_max] are
+t = n / z_v with 1 <= n <= floor(lam_max z_v); K^num and the pullback of
+Z play no part.  Each candidate is a jump: it raises some floor(t z_v),
+the least pairing on the ray v of the monomials of O_X(-floor(tZ)).
 """
 
 from __future__ import annotations
@@ -26,20 +42,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .divisors import DivisorVector, RatLike, rat
-from .errors import InvalidModel, NonEffectiveGamma
+from .errors import BadParameters, InvalidModel, NonEffectiveGamma
 from .resolution import relative_canonical
 from .toric import (
-    LEFT,
-    RIGHT,
     MonomialIdeal,
     ToricSurfaceModel,
-    _section_min_gens_cached,
+    corner_stairs,
     dot,
     m_limiting_relative_canonical,
     pullback_divisor,
     pushforward_sections,
     support_function,
 )
+
+# The most candidate jumping numbers one scan accepts; the count is known
+# before any ideal is built, so a larger scan is refused at once.
+JUMPS_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -82,23 +100,9 @@ def numerical_relative_canonical(model: ToricSurfaceModel) -> DivisorVector:
 
 def _round_up_sections(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> MonomialIdeal:
     """J(X, W) = pi_* O_Y(ceil(K^num - pi^* W)) for W = wl B_left + wr B_right
-    with wl, wr >= 0.
-
-    K^num - pi^* W is K_Y - pi^* D with D = K_X + W, which is w_v - 1 on
-    each boundary ray v.  pi^* D is <ell, v> on the ray v,
-    ell = support_function(D), and K_Y is -1, so x^u is a section iff
-    <u, v> >= -ceil(-1 - <ell, v>) = 1 + floor(<ell, v>) on every ray v:
-    floor(w_v) on the boundary rays.  A bound <= 0 on an exceptional ray
-    holds on the whole monoid (the ray is interior to the cone), so it is
-    left out of the scan.
-    """
-    ell = support_function(model, wl - 1, wr - 1)
-    bounds = {LEFT: math.floor(wl), RIGHT: math.floor(wr)}
-    for label, v in zip(model.exceptional_labels, model.exceptional_rays):
-        bound = 1 + math.floor(dot(ell, v))
-        if bound > 0:
-            bounds[label.name] = bound
-    return MonomialIdeal(model, _section_min_gens_cached(model, tuple(sorted(bounds.items()))))
+    with wl, wr >= 0: the corner module O_X(-floor(W)), since the bounds
+    on the exceptional rays never bind (theorem in the module docstring)."""
+    return MonomialIdeal(model, corner_stairs(model, math.floor(wl), math.floor(wr)))
 
 
 def multiplier_ideal(pair: PairSpec) -> MonomialIdeal:
@@ -135,34 +139,20 @@ def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, Mo
     """The finitely many t in (0, lam_max] where the multiplier ideal of
     t*Z changes, each with the new ideal.
 
-    Candidates are the exact rationals where a coefficient of
-    K^num - t * pi*Z crosses an integer; Z = 0 yields the empty list.
+    They are the t = n / z_v of the boundary rays v (module docstring);
+    more than JUMPS_LIMIT of them is refused before any ideal is built.
+    Z = 0 yields the empty list.
     """
     lam_max = rat(lam_max)
     if lam_max <= 0:
         raise InvalidModel("lam_max must be positive")
     model = pair.model
-    zpull = pullback_divisor(model, pair.z)
-    knum = numerical_relative_canonical(model)
-    candidates: set[Fraction] = set()
-    for label, zv in zpull.items():
-        if zv <= 0:
-            continue
-        kv = knum.coeff(label)
-        n_lo = math.ceil(kv - lam_max * zv)
-        n_hi = math.floor(kv)
-        for n in range(n_lo, n_hi + 1):
-            t = (kv - n) / zv
-            if 0 < t <= lam_max:
-                candidates.add(t)
-    jumps: list[tuple[Fraction, MonomialIdeal]] = []
-    previous = multiplier_ideal(PairSpec(model, pair.z, Fraction(0)))
-    for t in sorted(candidates):
-        current = multiplier_ideal(PairSpec(model, pair.z, t))
-        if current != previous:
-            jumps.append((t, current))
-            previous = current
-    return jumps
+    zl, zr = (pair.z.coeff(label) for label in model.boundary_labels)
+    count = math.floor(lam_max * zl) + math.floor(lam_max * zr)
+    if count > JUMPS_LIMIT:
+        raise BadParameters(f"{count} candidate jumping numbers exceed the limit of {JUMPS_LIMIT}")
+    candidates = sorted({n / zv for zv in (zl, zr) for n in range(1, math.floor(lam_max * zv) + 1)})
+    return [(t, _round_up_sections(model, t * zl, t * zr)) for t in candidates]
 
 
 def numerical_multiplier_divisor(model, z_coeffs, lam: RatLike) -> DivisorVector:

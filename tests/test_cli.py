@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from surfideals import linalg, toric
+from surfideals import linalg, multiplier, toric
 from surfideals.cli import main
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -134,6 +134,24 @@ def test_scaleout_outputs_are_pinned(capsys, model, lam):
     assert hashlib.sha256(out.encode()).hexdigest() == SCALEOUT_SHA256[(model, lam)]
 
 
+# Commands on long chains (1/r(1,r-1) resolves to r - 1 curves) with the
+# sha256 of their stdout, as computed with every exceptional bound scanned.
+LONG_CHAIN_SHA256 = {
+    ("compare", "cyclic:10007/10006", "--z", "boundary", "--lambda", "5/4"): "b12ed5aeca7c7d5c18c686b7161897c8ff7e1c74b0b766e67531edfd9846d096",
+    ("mult-ideal", "cyclic:1009/1008", "--z", '{"BL": "7/3", "BR": "5/2"}', "--lambda", "7/5"): "d1154682bd236d78bdfa3b501281eede3f98a2962f8f108d791c83e5d03afc5a",
+    ("jumps", "cyclic:1009/1008", "--z", "boundary", "--lambda-max", "2"): "4b6f7552db2caf1b49c43f5abd71527b520abe84143334ff20a3ed9cae61228b",
+    ("jumps", "cyclic:257/256", "--z", '{"BL": "7/3", "BR": "5/2"}', "--lambda-max", "3"): "6cb0414f7536b1e89cc02ba3829ede5d72cbc7162d854f40e2a6e2895d9e7d74",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LONG_CHAIN_SHA256))
+def test_long_chain_outputs_are_pinned(capsys, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_CHAIN_SHA256[argv]
+
+
 def test_test_ideal_at_a_large_prime(capsys):
     # p = 2^61 - 1: the primality test is Miller-Rabin, not trial division,
     # and the closure needs one Frobenius depth
@@ -163,6 +181,30 @@ def test_jumps_cli(capsys):
     assert code == 0
     assert [j["lambda"] for j in doc["jumps"]] == ["1", "2"]
     assert [j["generators"] for j in doc["jumps"]] == [[[1, 0]], [[2, 0]]]
+
+
+@pytest.mark.parametrize(
+    "argv,count",
+    [
+        (("jumps", "cyclic:3/1", "--z", '{"BR": "1e5"}'), 200_000),
+        (("jumps", "cyclic:3/1", "--lambda-max", "1000000000"), 2_000_000_000),
+    ],
+)
+def test_jumps_refuses_too_many_candidates(capsys, argv, count):
+    # the candidates are counted before any ideal is built, so the refusal
+    # is immediate however large the count
+    code, doc = run_cli(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "BadParameters"
+    assert str(count) in doc["error"]["message"] and str(multiplier.JUMPS_LIMIT) in doc["error"]["message"]
+
+
+def test_jumps_below_the_limit_succeed(capsys):
+    # 20,000 candidates, each of them a jump: J(t B_right) = O_X(-floor(t B_right))
+    code, doc = run_cli(capsys, "jumps", "cyclic:3/1", "--z", '{"BR": "1e4"}')
+    assert code == 0
+    assert [j["lambda"] for j in doc["jumps"][:2]] == ["1/10000", "1/5000"]
+    assert len(doc["jumps"]) == 20_000
 
 
 def test_check_negativity_cli(capsys):

@@ -2,17 +2,25 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
+
+from surfideals import compare, frobenius
 from surfideals.compare import (
+    EQUAL,
+    INCOMPARABLE,
+    MULTIPLIER_LARGER,
     PRIMES_DEFAULT,
+    TEST_LARGER,
     CatalogEntry,
+    _classify,
     catalog_entries,
     compare_entry,
     compare_pair,
 )
 from surfideals.divisors import DivisorVector
 from surfideals.frobenius import CharPContext, boundary_containment_check
-from surfideals.multiplier import PairSpec
-from surfideals.toric import RIGHT, hj_resolve
+from surfideals.multiplier import PairSpec, multiplier_ideal
+from surfideals.toric import RIGHT, MonomialIdeal, hj_resolve
 
 
 def test_catalog_shape():
@@ -71,3 +79,47 @@ def test_catalog_spot_checks_agree():
     ):
         report = compare_entry(entry, primes=PRIMES_DEFAULT[:5])
         assert report.all_equal(), report.to_dict()
+
+
+# Staircases on the smooth chart, where the stair (s, t) is x^t y^s.
+SMOOTH = hj_resolve(1, 1)
+X3, Y3, X3Y3, MAXIMAL = ((0, 3),), ((3, 0),), ((3, 3),), ((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "j,tau,verdict",
+    [
+        (MAXIMAL, MAXIMAL, EQUAL),
+        (MAXIMAL, X3Y3, MULTIPLIER_LARGER),
+        (X3, X3Y3, MULTIPLIER_LARGER),
+        (X3Y3, Y3, TEST_LARGER),
+        (((1, 1),), MAXIMAL, TEST_LARGER),  # (x y) in (x, y)
+        (X3, Y3, INCOMPARABLE),
+        (((0, 4), (2, 1)), ((1, 2),), INCOMPARABLE),  # (x^4, x y^2) and (x^2 y)
+    ],
+)
+def test_classify_every_verdict(j, tau, verdict):
+    # no toric pair reaches the three strict verdicts (tau = J by theorem),
+    # so they are tested on hand-built staircases
+    assert _classify(MonomialIdeal(SMOOTH, j), MonomialIdeal(SMOOTH, tau)) == verdict
+
+
+def test_strict_verdicts_are_reported(monkeypatch):
+    # a test ideal that shrinks at p = 2 gives a strict verdict there, records
+    # its generators, and moves stable_from_prime to the next prime
+    pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
+    real = compare.test_ideal_detailed
+
+    def shrunk_at_two(pair, ctx):
+        result = real(pair, ctx)
+        if ctx.p != 2:
+            return result
+        return frobenius.TestIdealResult(result.ideal.intersect(MonomialIdeal(SMOOTH, X3Y3)), result.depth_used)
+
+    monkeypatch.setattr(compare, "test_ideal_detailed", shrunk_at_two)
+    report = compare_pair(pair, primes=(2, 3, 5))
+    assert [v.verdict for v in report.verdicts] == [MULTIPLIER_LARGER, EQUAL, EQUAL]
+    assert report.stable_from_prime == 3 and not report.all_equal()
+    shrunk = multiplier_ideal(pair).intersect(MonomialIdeal(SMOOTH, X3Y3))
+    assert report.to_dict()["primes"][0]["test_ideal"] == [list(g) for g in shrunk.gens]
+    assert "test_ideal" not in report.to_dict()["primes"][1]

@@ -25,7 +25,7 @@ from surfideals.frobenius import (
     trace_value,
 )
 from surfideals.multiplier import PairSpec, multiplier_ideal
-from surfideals.toric import LEFT, RIGHT, MonomialIdeal, hj_resolve
+from surfideals.toric import LEFT, RIGHT, MonomialIdeal, corner_stairs, hj_resolve
 
 SMOOTH = hj_resolve(1, 1)
 A1 = hj_resolve(2, 1)
@@ -283,3 +283,40 @@ def test_closure_against_brute_force_oracle():
                 ideal = tau(PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr})), CharPContext(p))
                 got = {u for u in box_points if ideal.contains_point(u)}
                 assert got == brute_test_ideal(model, p, wl, wr, box), (model, p, wl, wr, ideal.gens)
+
+
+def _random_pairs(seed, count, r_max):
+    """(model, p, wl, wr) with r up to r_max, p at a prime dividing r in a
+    fourth of the r with a prime factor below 48, and boundary
+    coefficients with denominators <= 12."""
+    rng = random.Random(seed)
+    primes = [p for p in range(2, 48) if is_prime(p)]
+    for _ in range(count):
+        r = rng.randint(2, r_max)
+        a = rng.choice([a for a in range(1, r) if math.gcd(r, a) == 1])
+        wild = [p for p in primes if r % p == 0]
+        p = rng.choice(wild) if wild and rng.random() < 0.25 else rng.choice(primes)
+        wl, wr = (Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(2))
+        yield hj_resolve(r, a), p, wl, wr
+
+
+def test_closed_form_oracle():
+    # tau(X, W) = O_X(-floor(W)) on toric pairs (Blickle 2004; corollary in
+    # the frobenius module docstring): one corner_stairs call, independent
+    # of the closure, so r reaches the thousands
+    for model, p, wl, wr in _random_pairs(83, 300, 3000):
+        pair = PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr}))
+        expected = MonomialIdeal(model, corner_stairs(model, math.floor(wl), math.floor(wr)))
+        assert tau(pair, CharPContext(p)) == expected, (model, p, wl, wr)
+
+
+def test_floor_module_is_closed():
+    # the second round of the closure adds nothing: every depth-e image of
+    # O_X(-floor(W)), e = 1..E with E its stable depth, lies inside it
+    for model, p, wl, wr in _random_pairs(84, 200, 1000):
+        stairs = corner_stairs(model, math.floor(wl), math.floor(wr))
+        module = MonomialIdeal(model, stairs)
+        for e in range(1, _stable_depth(p, wl, wr, stairs) + 1):
+            q = p**e
+            image = MonomialIdeal(model, _trace_image(model, q, _twist_bounds(q, wl, wr), stairs))
+            assert image.issubset(module), (model, p, wl, wr, e)

@@ -192,19 +192,61 @@ def _models(r_max):
     return [SMOOTH] + [hj_resolve(r, a) for r in range(2, r_max + 1) for a in range(1, r) if math.gcd(r, a) == 1]
 
 
+LONG_CHAINS = [hj_resolve(64, 63), hj_resolve(101, 100), hj_resolve(97, 2)]
+
+
+def _divisor_route(model, knum, w):
+    """J(X, W) from its definition: sections of ceil(K^num - pi^* W), with
+    a bound on every exceptional ray."""
+    return pushforward_sections(model, (knum - pullback_divisor(model, w)).ceil())
+
+
 def test_multiplier_ideal_against_the_divisor_route():
-    # ray by ray from the support function equals sections of
-    # ceil(K^num - pi^* W) with K^num solved through the intersection matrix;
-    # the denominators are <= 12, and 1 for one W of each model, where the
-    # round-up of an integer coefficient is tested
+    # the corner module O_X(-floor W) equals sections of ceil(K^num - pi^* W)
+    # with K^num solved through the intersection matrix and every exceptional
+    # bound scanned, long chains included; the denominators are <= 12, and 1
+    # for one W of each model, where the round-up of an integer coefficient
+    # is tested
     rng = random.Random(91)
-    for model in _models(30):
+    for model in _models(30) + LONG_CHAINS:
         knum = relative_canonical(to_resolution(model))
         for den_max in (12, 12, 12, 1):
             w = model.divisor({LEFT: Fraction(rng.randint(0, 3 * den_max), rng.randint(1, den_max)),
                                RIGHT: Fraction(rng.randint(0, 3 * den_max), rng.randint(1, den_max))})
-            expected = pushforward_sections(model, (knum - pullback_divisor(model, w)).ceil())
-            assert multiplier_ideal(PairSpec(model, w, 1)) == expected, (model, w)
+            assert multiplier_ideal(PairSpec(model, w, 1)) == _divisor_route(model, knum, w), (model, w)
+
+
+def _all_rays_jumps(pair, knum, lam_max):
+    """Jumping numbers by the scan over every ray: the t in (0, lam_max]
+    where a coefficient of K^num - t pi^* Z crosses an integer, kept where
+    the multiplier ideal changes."""
+    model = pair.model
+    candidates = set()
+    for label, zv in pullback_divisor(model, pair.z).items():
+        if zv > 0:
+            kv = knum.coeff(label)
+            candidates.update((kv - n) / zv for n in range(math.ceil(kv - lam_max * zv), math.floor(kv) + 1))
+    jumps, previous = [], multiplier_ideal(PairSpec(model, pair.z, 0))
+    for t in sorted(c for c in candidates if 0 < c <= lam_max):
+        current = multiplier_ideal(PairSpec(model, pair.z, t))
+        if current != previous:
+            jumps.append((t, current))
+            previous = current
+    return jumps
+
+
+def test_jumping_numbers_against_the_all_rays_scan():
+    # the boundary-ray candidates find every jump that the scan over all
+    # rays finds, and each ideal is the one from the definition of J
+    rng = random.Random(29)
+    for model in rng.sample(_models(30), 80):
+        z = model.divisor({LEFT: Fraction(rng.randint(0, 12), rng.randint(1, 4)),
+                           RIGHT: Fraction(rng.randint(0, 12), rng.randint(1, 4))})
+        pair, lam_max = PairSpec(model, z, 1), Fraction(rng.randint(1, 12), rng.randint(1, 4))
+        knum = relative_canonical(to_resolution(model))
+        jumps = jumping_numbers(pair, lam_max)
+        assert jumps == _all_rays_jumps(pair, knum, lam_max), (model, z, lam_max)
+        assert all(ideal == _divisor_route(model, knum, z.scale(t)) for t, ideal in jumps), (model, z)
 
 
 def test_numerical_relative_canonical_against_the_intersection_matrix():
