@@ -19,7 +19,7 @@ from typing import Optional, Union
 from . import compare as compare_mod
 from . import frobenius, multiplier, resolution, toric
 from .divisors import DivisorLabel, DivisorVector, rat
-from .errors import BadParameters, DomainError, ModelFileError
+from .errors import BadParameters, DomainError, InvalidModel, ModelFileError
 from .frobenius import CharPContext
 from .multiplier import PairSpec
 
@@ -27,12 +27,8 @@ from .multiplier import PairSpec
 # -- serialization ----------------------------------------------------------
 
 
-def frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def divisor_doc(d: DivisorVector) -> dict:
-    return {label.name: frac_str(c) for label, c in d.items()}
+    return {label.name: str(c) for label, c in d.items()}
 
 
 def ideal_doc(ideal: toric.MonomialIdeal) -> dict:
@@ -189,38 +185,42 @@ def _model_doc(model: toric.ToricSurfaceModel) -> dict:
     }
 
 
+def _discrepancy_doc(model) -> dict:
+    if isinstance(model, toric.ToricSurfaceModel):
+        rc, labels = multiplier.numerical_relative_canonical(model), model.exceptional_labels
+    else:
+        rc, labels = resolution.relative_canonical(model), model.labels
+    coeffs = dict(rc.items())
+    return {
+        "relative_canonical": divisor_doc(rc),
+        "discrepancies": {label.name: str(coeffs.get(label, Fraction(0))) for label in labels},
+    }
+
+
 def cmd_resolve(args) -> dict:
     model = toric.hj_resolve(args.r, args.a)
-    res = toric.to_resolution(model)
-    disc = resolution.discrepancies(res)
     return {
         "model": _model_doc(model),
         "chain": [-b for b in model.hj],
-        "discrepancies": {name: frac_str(v) for name, v in disc.items()},
+        "discrepancies": _discrepancy_doc(model)["discrepancies"],
         "cartier_index": toric.cartier_index(model),
         "class_group_order": model.r,
     }
 
 
-def _as_resolution(model) -> resolution.ResolutionModel:
-    if isinstance(model, toric.ToricSurfaceModel):
-        return toric.to_resolution(model)
-    return model
-
-
 def cmd_pullback(args) -> dict:
-    res = _as_resolution(load_model(args.model))
+    model = load_model(args.model)
     coeffs = parse_coeff_map(args.d)
-    return {"pullback": divisor_doc(resolution.numerical_pullback(res, coeffs))}
+    if isinstance(model, resolution.ResolutionModel):
+        return {"pullback": divisor_doc(resolution.numerical_pullback(model, coeffs))}
+    for name in coeffs:
+        if name not in (toric.LEFT, toric.RIGHT):
+            raise InvalidModel(f"model has no extra divisor named {name!r}")
+    return {"pullback": divisor_doc(toric.pullback_divisor(model, model.divisor(coeffs)))}
 
 
 def cmd_discrepancy(args) -> dict:
-    res = _as_resolution(load_model(args.model))
-    rc = resolution.relative_canonical(res)
-    return {
-        "relative_canonical": divisor_doc(rc),
-        "discrepancies": {c.label.name: frac_str(rc.coeff(c.label)) for c in res.curves},
-    }
+    return _discrepancy_doc(load_model(args.model))
 
 
 def _pair_from_args(args) -> PairSpec:
@@ -240,9 +240,7 @@ def cmd_mult_ideal(args) -> dict:
 
 
 def cmd_m_limiting(args) -> dict:
-    pair = _pair_from_args(args)
-    ideal = multiplier.multiplier_m_limiting(pair, args.m)
-    km = toric.m_limiting_relative_canonical(pair.model, args.m)
+    ideal, km = multiplier._m_limiting(_pair_from_args(args), args.m)
     return {"ideal": ideal_doc(ideal), "m": args.m, "relative_canonical_m": divisor_doc(km)}
 
 
@@ -251,7 +249,7 @@ def cmd_jumps(args) -> dict:
     z = parse_boundary_divisor(model, args.z)
     pair = PairSpec(model, z, Fraction(1))
     jumps = multiplier.jumping_numbers(pair, _parse_rat(args.lam_max, "--lambda-max"))
-    return {"jumps": [{"lambda": frac_str(t), **ideal_doc(ideal)} for t, ideal in jumps]}
+    return {"jumps": [{"lambda": str(t), **ideal_doc(ideal)} for t, ideal in jumps]}
 
 
 def cmd_test_ideal(args) -> dict:
@@ -284,7 +282,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_check_negativity(args) -> dict:
-    res = _as_resolution(load_model(args.model))
+    model = load_model(args.model)
+    res = toric.to_resolution(model) if isinstance(model, toric.ToricSurfaceModel) else model
     coeffs = parse_coeff_map(args.d)
     by_name = {c.label.name: c.label for c in res.curves}
     by_name.update({x.label.name: x.label for x in res.extras})
@@ -307,7 +306,7 @@ def cmd_catalog(_args) -> dict:
     entries = compare_mod.catalog_entries()
     return {
         "pairs": [
-            {"id": e.entry_id, "r": e.r, "a": e.a, "z": e.z_kind, "lambda": frac_str(e.lam)}
+            {"id": e.entry_id, "r": e.r, "a": e.a, "z": e.z_kind, "lambda": str(e.lam)}
             for e in entries
         ],
         "primes": list(compare_mod.PRIMES_DEFAULT),

@@ -12,10 +12,11 @@ Where K^num = K_Y - pi*_num K_X comes from.  On a toric model every
 torus-invariant Q-divisor is Q-Cartier, so pi*_num K_X is the pullback
 through the support function ell_K of K_X = -(B_left + B_right)
 (`toric.support_function`), and K^num is -1 - <ell_K, v> on each ray v:
-zero on the boundary rays, the discrepancy on the exceptional ones.  A
-dual-graph model has no fan: there K^num is the solution of the
-intersection-matrix system (`resolution.relative_canonical`, used by
-`numerical_multiplier_divisor`).
+zero on the boundary rays, the discrepancy on the exceptional ones.
+Every command on a cyclic model takes K^num and pullbacks from the fan,
+except `check-negativity`, which needs intersection numbers.  A dual
+graph has no fan: there K^num solves the intersection-matrix system
+(`resolution.relative_canonical`, used by `numerical_multiplier_divisor`).
 
 Theorem: J(X, W) = O_X(-floor(W)) for W = w_left B_left + w_right B_right
 with w_v >= 0 (Howald 2001; Blickle 2004).  K^num - pi^* W is
@@ -43,7 +44,7 @@ from fractions import Fraction
 
 from .divisors import DivisorVector, RatLike, rat
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
-from .resolution import relative_canonical
+from .resolution import numerical_pullback, relative_canonical
 from .toric import (
     MonomialIdeal,
     ToricSurfaceModel,
@@ -113,9 +114,14 @@ def multiplier_ideal(pair: PairSpec) -> MonomialIdeal:
 def multiplier_m_limiting(pair: PairSpec, m: int) -> MonomialIdeal:
     """The m-limiting multiplier ideal; contained in the numerical one,
     with equality whenever the Cartier index of K_X divides m."""
+    return _m_limiting(pair, m)[0]
+
+
+def _m_limiting(pair: PairSpec, m: int) -> tuple[MonomialIdeal, DivisorVector]:
+    """The m-limiting multiplier ideal with the K_m it rounds up from."""
     km = m_limiting_relative_canonical(pair.model, m)
     d = (km - pullback_divisor(pair.model, pair.scaled_z())).ceil()
-    return pushforward_sections(pair.model, d)
+    return pushforward_sections(pair.model, d), km
 
 
 def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialIdeal:
@@ -158,8 +164,6 @@ def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, Mo
 def numerical_multiplier_divisor(model, z_coeffs, lam: RatLike) -> DivisorVector:
     """Divisor-level output for bare resolution models (no coordinate ring):
     the round-up of K^num - pi*_num(lambda Z) with Z given through extras."""
-    from .resolution import numerical_pullback
-
     lam = rat(lam)
     scaled = {name: lam * rat(c) for name, c in z_coeffs.items()}
     knum = relative_canonical(model)

@@ -102,11 +102,6 @@ class ToricSurfaceModel:
     def exceptional_labels(self) -> tuple[DivisorLabel, ...]:
         return tuple(DivisorLabel(f"E{i+1}", "exceptional") for i in range(len(self.exceptional_rays)))
 
-    @property
-    def labels(self) -> tuple[DivisorLabel, ...]:
-        bl, br = self.boundary_labels
-        return (bl,) + self.exceptional_labels + (br,)
-
     def rays(self) -> tuple[tuple[DivisorLabel, Point], ...]:
         """All rays of the resolution fan, left boundary to right boundary."""
         bl, br = self.boundary_labels
@@ -243,31 +238,36 @@ def section_module_min_gens(model: ToricSurfaceModel, bounds: Mapping[str, int])
     """
     if LEFT not in bounds or RIGHT not in bounds:
         raise InvalidModel("section bounds must constrain both boundary rays")
-    stairs = _section_min_gens_cached(model, tuple(sorted((str(k), int(v)) for k, v in bounds.items())))
+    rays = {label.name: vec for label, vec in model.rays()}
+    exc = []
+    for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT)):
+        if name not in rays:
+            raise InvalidModel(f"model has no ray named {name!r}")
+        exc.append((name, rays[name], c))
+    stairs = _section_min_gens_cached(model, int(bounds[LEFT]), int(bounds[RIGHT]), tuple(exc))
     return tuple(sorted(map(model.point, stairs)))
 
 
 def corner_stairs(model: ToricSurfaceModel, s_min: int, t_min: int) -> tuple[Pair, ...]:
     """Staircase of the corner module {u : s >= s_min, t >= t_min}."""
-    return _section_min_gens_cached(model, ((LEFT, s_min), (RIGHT, t_min)))
+    return _section_min_gens_cached(model, s_min, t_min, ())
 
 
 @lru_cache(maxsize=None)
-def _section_min_gens_cached(model: ToricSurfaceModel, bounds_key: tuple[tuple[str, int], ...]) -> tuple[Pair, ...]:
-    """Staircase of a section module, by a scan over s.
+def _section_min_gens_cached(
+    model: ToricSurfaceModel, c_left: int, c_right: int, exc_bounds: tuple[tuple[str, Point, int], ...]
+) -> tuple[Pair, ...]:
+    """Staircase of {u : s >= c_left, t >= c_right, <u, v> >= c for each
+    (name, v, c) of `exc_bounds`}, by a scan over s.
 
     For an exceptional ray v = (A v_left + B v_right) / |det| (A, B > 0),
     <u, v> >= c reads A s + B t >= c |det|.  Each s takes the largest of
     these lower bounds on t, rounded up into the lattice class
     t = s * v_right[1] (mod |det|) (as v_left = (0, 1)).
     """
-    bounds = dict(bounds_key)
     vr, sign, step = model.v_right, (1 if model.det > 0 else -1), abs(model.det)
-    c_left = bounds.pop(LEFT)
-    c_right = bounds.pop(RIGHT)
     exc = []
-    for name, c in bounds.items():
-        vec = model.ray(name)
+    for name, vec, c in exc_bounds:
         alpha = sign * (vec[0] * vr[1] - vec[1] * vr[0])
         beta = sign * (model.v_left[0] * vec[1] - model.v_left[1] * vec[0])
         if alpha <= 0 or beta <= 0:
@@ -365,15 +365,12 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
     """
     if not d.is_integral():
         raise NotIntegral("pushforward needs integer coefficients; round first")
-    ray_names = {label.name for label, _ in model.rays()}
-    bounds: dict[str, int] = {}
-    for label, c in d.items():
-        if label.name not in ray_names:
-            raise InvalidModel(f"divisor label {label.name!r} is not a ray of the model")
-        bounds[label.name] = -int(c)
-    for name in (LEFT, RIGHT):
-        bounds[name] = max(0, bounds.get(name, 0))
-    return MonomialIdeal(model, _section_min_gens_cached(model, tuple(sorted(bounds.items()))))
+    bounds = {label.name: -int(c) for label, c in d.items()}
+    c_left, c_right = (max(0, bounds.pop(name, 0)) for name in (LEFT, RIGHT))
+    exc = tuple((label.name, vec, bounds.pop(label.name)) for label, vec in model.rays() if label.name in bounds)
+    if bounds:
+        raise InvalidModel(f"divisor label {next(iter(bounds))!r} is not a ray of the model")
+    return MonomialIdeal(model, _section_min_gens_cached(model, c_left, c_right, exc))
 
 
 def fractional_canonical_pullback(model: ToricSurfaceModel, m: int) -> DivisorVector:

@@ -6,6 +6,7 @@ import pytest
 
 from surfideals import linalg, multiplier, toric
 from surfideals.cli import main
+from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
 
 
@@ -134,13 +135,22 @@ def test_scaleout_outputs_are_pinned(capsys, model, lam):
     assert hashlib.sha256(out.encode()).hexdigest() == SCALEOUT_SHA256[(model, lam)]
 
 
-# Commands on long chains (1/r(1,r-1) resolves to r - 1 curves) with the
-# sha256 of their stdout, as computed with every exceptional bound scanned.
+# Commands on long chains (1/r(1,r-1) resolves to r - 1 curves, 1/1003(1,501)
+# to the chain [3, 2, ..., 2, 3]) with the sha256 of their stdout, as computed
+# with every exceptional bound scanned and K^num from the intersection matrix.
 LONG_CHAIN_SHA256 = {
     ("compare", "cyclic:10007/10006", "--z", "boundary", "--lambda", "5/4"): "b12ed5aeca7c7d5c18c686b7161897c8ff7e1c74b0b766e67531edfd9846d096",
     ("mult-ideal", "cyclic:1009/1008", "--z", '{"BL": "7/3", "BR": "5/2"}', "--lambda", "7/5"): "d1154682bd236d78bdfa3b501281eede3f98a2962f8f108d791c83e5d03afc5a",
     ("jumps", "cyclic:1009/1008", "--z", "boundary", "--lambda-max", "2"): "4b6f7552db2caf1b49c43f5abd71527b520abe84143334ff20a3ed9cae61228b",
     ("jumps", "cyclic:257/256", "--z", '{"BL": "7/3", "BR": "5/2"}', "--lambda-max", "3"): "6cb0414f7536b1e89cc02ba3829ede5d72cbc7162d854f40e2a6e2895d9e7d74",
+    ("m-limiting", "cyclic:1009/1008", "--z", "boundary", "--lambda", "5/4", "--m", "2"): "53dd0ed9b6bb872c0b2ce32f7b4680ec1494baf5f9e3e2101d5b5e547cbf0ebb",
+    ("m-limiting", "cyclic:1003/501", "--z", '{"BL": "7/3", "BR": "5/2"}', "--lambda", "7/5", "--m", "3"): "c1c70de3b0ede6037aa97365d1da9e5d4208def74e36818b1c29afeaee438c7a",
+    ("discrepancy", "cyclic:1003/501"): "c93e724361dc434d1e60c40d245ded1687c3e8b32bc8bec9ba1e57ebb6577a63",
+    ("resolve", "--r", "1003", "--a", "501"): "49e1425ff598982ad1ab1fb2b2e459eec4fc15c6f4a7b6107bf3e8d067a9b3fd",
+    ("pullback", "cyclic:1003/501", "--d", '{"BL": "7/3", "BR": "5/2"}'): "1d28147d746df055c097a76219560dd8af56ea7d7bf3fb837f6f36229cb1d294",
+    ("discrepancy", "cyclic:1009/1008"): "35b5a7c13bf3a92254a29974a5b08dcce1a1780bbd63a9ae94fb632c3f639efd",
+    ("resolve", "--r", "1009", "--a", "1008"): "354cdea1127227822d9af2a750caa745a25160a971bb41806ffec619a60f9025",
+    ("pullback", "cyclic:1009/1008", "--d", '{"BL": "7/3", "BR": "5/2"}'): "9679669ae3778496048765d8d3b2479fdff36b24ee58cb6e23e6900d04dd1019",
 }
 
 
@@ -344,6 +354,9 @@ TORIC_PATH_SHA256 = {
     ("m-limiting", "cyclic:12/7", "--z", "boundary", "--lambda", "1/2", "--m", "4"): "ae93f15a634daf505c8f6ccead02db847d3624a260ecd4be5123feec594507ca",
     ("jumps", "cyclic:9/2", "--z", "boundary", "--lambda-max", "2"): "28aa64f149d8dfb55f9cae4aaf6be2ebc37bc159ccb39469d6d30fc5ad2d727e",
     ("test-ideal", "cyclic:11/4", "--z", '{"BL": "1", "BR": "2/5"}', "--lambda", "5/4", "--p", "7"): "a0f5ce182ea93c2634c3e1b336c2de8343b80d66c122d4e545fcffd7fd7cf656",
+    ("resolve", "--r", "12", "--a", "7"): "8e1eb17d6052a40ade648c3904d074842629073b77fb464ae4f504b9be4b145d",
+    ("discrepancy", "cyclic:12/7"): "49e3769157597083a15f48135ba3aae2204f22931facaf45a0d3b980246b19e7",
+    ("pullback", "cyclic:13/5", "--d", '{"BL": "3/2", "BR": "1/3"}'): "75995eda332c790405951731bbb10ed0a503847f7e534624f1a3e94d5e9b6552",
 }
 
 
@@ -370,13 +383,43 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]
 
 
-def test_discrepancy_solves_one_linear_system(capsys, monkeypatch):
-    # the discrepancies are read off the relative canonical divisor the
-    # command has already solved for
+def test_discrepancy_solves_one_linear_system(capsys, monkeypatch, tmp_path):
+    # on a dual graph the discrepancies are read off the relative canonical
+    # divisor the command has already solved for (a cyclic model solves none)
+    path = tmp_path / "a63.json"
+    path.write_text(json.dumps({
+        "kind": "dualgraph",
+        "curves": [{"label": f"E{i}", "self_intersection": -2} for i in range(1, 64)],
+        "intersections": [[i, i + 1, 1] for i in range(62)],
+    }))
     solves = []
     solve = linalg.solve
     monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
-    code, doc = run_cli(capsys, "discrepancy", "cyclic:64/63")
+    code, doc = run_cli(capsys, "discrepancy", str(path))
     assert code == 0
     assert len(solves) == 1
     assert doc["discrepancies"] == {f"E{i}": "0" for i in range(1, 64)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("m-limiting", "cyclic:1009/1008", "--z", "boundary", "--lambda", "5/4", "--m", "2"),
+        ("resolve", "--r", "1009", "--a", "1008"),
+        ("discrepancy", "cyclic:1009/1008"),
+        ("pullback", "cyclic:1009/1008", "--d", '{"BL": "7/3", "BR": "5/2"}'),
+        ("mult-ideal", "cyclic:1009/1008", "--z", "boundary", "--lambda", "5/4"),
+    ],
+)
+def test_toric_commands_build_few_labels_per_ray(capsys, monkeypatch, argv):
+    # a name search over the rays inside a loop over the rays builds about
+    # n labels per ray; a command on the fan builds a few (deterministic,
+    # unlike a time limit)
+    rays = len(hj_resolve(1009, 1008).rays())
+    toric._section_min_gens_cached.cache_clear()
+    built = []
+    monkeypatch.setattr(DivisorLabel, "__post_init__", lambda self: built.append(self.name))
+    code = main(list(argv))
+    capsys.readouterr()
+    assert code == 0
+    assert len(built) <= 10 * rays, len(built) / rays

@@ -250,5 +250,6 @@ def test_jumping_numbers_against_the_all_rays_scan():
 
 
 def test_numerical_relative_canonical_against_the_intersection_matrix():
-    for model in _models(40):
+    # 203/101 is the chain [3, 2, ..., 2] of 101 curves
+    for model in _models(40) + [hj_resolve(101, 100), hj_resolve(97, 2), hj_resolve(203, 101)]:
         assert numerical_relative_canonical(model) == relative_canonical(to_resolution(model)), model

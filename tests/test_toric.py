@@ -218,7 +218,8 @@ def test_numerical_pullback_agrees_with_support_function():
     from surfideals.toric import pullback_divisor
 
     rng = random.Random(23)
-    for model in all_models(9):
+    chains = [hj_resolve(64, 63), hj_resolve(101, 100), hj_resolve(97, 2)]
+    for model in [*all_models(40), *chains]:
         if model.r == 1:
             continue
         res = to_resolution(model)
