@@ -315,80 +315,63 @@ def cmd_catalog(_args) -> dict:
 
 # -- parser -----------------------------------------------------------------
 
+MODEL = ("model", {"help": "cyclic:R/A or a JSON model file"})
+PAIR = (MODEL, ("--z", {"default": "0", "help": "'0', 'boundary', or JSON ray map"}),
+        ("--lambda", {"dest": "lam", "default": "1", "help": "rational scaling of Z"}))
+
+# name -> (help, handler, arguments); an argument is (name or flag, add_argument keywords).
+COMMANDS = {
+    "resolve": ("Hirzebruch-Jung resolution of 1/r(1,a)", cmd_resolve,
+                (("--r", {"type": int, "required": True}), ("--a", {"type": int, "required": True}))),
+    "pullback": ("numerical pullback of a divisor given through extras", cmd_pullback,
+                 (MODEL, ("--d", {"required": True, "help": "JSON map extra-label -> rational"}))),
+    "discrepancy": ("numerical relative canonical divisor", cmd_discrepancy, (MODEL,)),
+    "mult-ideal": ("numerical multiplier ideal", cmd_mult_ideal, PAIR),
+    "m-limiting": ("m-limiting multiplier ideal", cmd_m_limiting, PAIR + (("--m", {"type": int, "required": True}),)),
+    "jumps": ("jumping numbers of the multiplier ideal in (0, lambda-max]", cmd_jumps,
+              (MODEL, ("--z", {"default": "boundary"}), ("--lambda-max", {"dest": "lam_max", "default": "2"}))),
+    "test-ideal": ("Frobenius test ideal in characteristic p", cmd_test_ideal,
+                   PAIR + (("--p", {"type": int, "required": True}),)),
+    "compare": ("multiplier vs test ideal over a prime sweep", cmd_compare, (
+        ("model", {"help": "cyclic:R/A, a JSON model file, or 'catalog'"}),
+        ("--z", {"default": "0"}),
+        ("--lambda", {"dest": "lam", "default": "1"}),
+        ("--primes", {"default": ",".join(str(p) for p in compare_mod.PRIMES_DEFAULT)}),
+        ("--jobs", {"type": int, "default": 1}),
+    )),
+    "check-negativity": ("surface negativity-lemma check for a divisor", cmd_check_negativity,
+                         (MODEL, ("--d", {"required": True, "help": "JSON map label -> rational"}))),
+    "catalog": ("list the acceptance catalog of pairs", cmd_catalog, ()),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for flag, keywords in COMMANDS[name][2]:
+        parser.add_argument(flag, **keywords)
+    return parser
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, for top-level usage and help; `main`
+    builds it only when argv names no command."""
     parser = argparse.ArgumentParser(
         prog="surfideals",
         description="Exact multiplier and test ideals on cyclic quotient surface singularities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("resolve", help="Hirzebruch-Jung resolution of 1/r(1,a)")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.set_defaults(handler=cmd_resolve)
-
-    def add_model(sp):
-        sp.add_argument("model", help="cyclic:R/A or a JSON model file")
-
-    p = sub.add_parser("pullback", help="numerical pullback of a divisor given through extras")
-    add_model(p)
-    p.add_argument("--d", required=True, help="JSON map extra-label -> rational")
-    p.set_defaults(handler=cmd_pullback)
-
-    p = sub.add_parser("discrepancy", help="numerical relative canonical divisor")
-    add_model(p)
-    p.set_defaults(handler=cmd_discrepancy)
-
-    def add_pair(sp):
-        add_model(sp)
-        sp.add_argument("--z", default="0", help="'0', 'boundary', or JSON ray map")
-        sp.add_argument("--lambda", dest="lam", default="1", help="rational scaling of Z")
-
-    p = sub.add_parser("mult-ideal", help="numerical multiplier ideal")
-    add_pair(p)
-    p.set_defaults(handler=cmd_mult_ideal)
-
-    p = sub.add_parser("m-limiting", help="m-limiting multiplier ideal")
-    add_pair(p)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=cmd_m_limiting)
-
-    p = sub.add_parser("jumps", help="jumping numbers of the multiplier ideal in (0, lambda-max]")
-    add_model(p)
-    p.add_argument("--z", default="boundary")
-    p.add_argument("--lambda-max", dest="lam_max", default="2")
-    p.set_defaults(handler=cmd_jumps)
-
-    p = sub.add_parser("test-ideal", help="Frobenius test ideal in characteristic p")
-    add_pair(p)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(handler=cmd_test_ideal)
-
-    p = sub.add_parser("compare", help="multiplier vs test ideal over a prime sweep")
-    p.add_argument("model", help="cyclic:R/A, a JSON model file, or 'catalog'")
-    p.add_argument("--z", default="0")
-    p.add_argument("--lambda", dest="lam", default="1")
-    p.add_argument("--primes", default=",".join(str(p) for p in compare_mod.PRIMES_DEFAULT))
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(handler=cmd_compare)
-
-    p = sub.add_parser("check-negativity", help="surface negativity-lemma check for a divisor")
-    add_model(p)
-    p.add_argument("--d", required=True, help="JSON map label -> rational")
-    p.set_defaults(handler=cmd_check_negativity)
-
-    p = sub.add_parser("catalog", help="list the acceptance catalog of pairs")
-    p.set_defaults(handler=cmd_catalog)
-
+    for name, (help_text, _, _) in COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in COMMANDS:
+        build_parser().parse_args(argv)  # usage, help or a usage error: it exits
+    name = argv[0]
+    args = _add_arguments(argparse.ArgumentParser(prog="surfideals " + name), name).parse_args(argv[1:])
     try:
-        doc = args.handler(args)
+        doc = COMMANDS[name][1](args)
     except DomainError as exc:
         emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return 1

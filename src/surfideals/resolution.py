@@ -104,11 +104,12 @@ class ResolutionModel:
     def intersect_with_curves(self, d: DivisorVector) -> tuple[Fraction, ...]:
         """The vector (D . E_j)_j for a divisor supported on model labels."""
         dots = [Fraction(0)] * len(self.curves)
+        index = {label: i for i, label in enumerate(self.labels)}
         for label, c in d.items():
             if label.kind == "exceptional":
                 try:
-                    i = self.labels.index(label)
-                except ValueError:
+                    i = index[label]
+                except KeyError:
                     raise InvalidModel(f"unknown exceptional label {label.name!r}") from None
                 for j in range(len(self.curves)):
                     dots[j] += c * self.matrix[i][j]

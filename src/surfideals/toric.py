@@ -92,6 +92,9 @@ class ToricSurfaceModel:
     exceptional_rays: tuple[Point, ...]
     hj: tuple[int, ...]
 
+    def __hash__(self) -> int:  # equal models have equal (r, a); the rays would cost O(chain) per cache lookup
+        return hash((self.r, self.a))
+
     # -- labels and rays ---------------------------------------------------
 
     @property

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from surfideals import linalg, multiplier, toric
-from surfideals.cli import main
+from surfideals.cli import COMMANDS, build_parser, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -36,6 +37,47 @@ def test_usage_error_exits_2(capsys):
         main(["resolve", "--r", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+ONE_OF_EACH = [
+    ("resolve", "--r", "4", "--a", "3"),
+    ("pullback", "cyclic:5/2", "--d", '{"BL": "1"}'),
+    ("discrepancy", "cyclic:5/2"),
+    ("mult-ideal", "cyclic:5/2", "--z", "boundary", "--lambda", "1/2"),
+    ("m-limiting", "cyclic:5/2", "--m", "2"),
+    ("jumps", "cyclic:5/2", "--lambda-max", "1"),
+    ("test-ideal", "cyclic:5/2", "--p", "3"),
+    ("compare", "cyclic:5/2", "--primes", "2,3"),
+    ("check-negativity", "cyclic:5/2", "--d", '{"E1": "-1"}'),
+    ("catalog",),
+]
+
+
+def test_a_named_command_builds_one_parser(capsys, monkeypatch):
+    # the full parser is eleven: the top level and ten subparsers
+    assert sorted(argv[0] for argv in ONE_OF_EACH) == sorted(COMMANDS)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for argv in ONE_OF_EACH:
+        built.clear()
+        code, _ = run_cli(capsys, *argv)
+        assert (code, len(built)) == (0, 1), argv
+    for argv in ([], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_command_help_is_the_full_parsers(capsys, name):
+    # `surfideals <name> -h` prints what the subparser of the full parser prints
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == subparsers.choices[name].format_help()
 
 
 def test_mult_ideal_klt(capsys):

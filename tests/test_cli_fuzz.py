@@ -1,8 +1,13 @@
 """Hypothesis fuzz of the command-line grammar, model files included.
 
 Every input must end in a JSON result (exit 0), a typed JSON error named
-after a `DomainError` (exit 1) or an argparse usage error (exit 2); no
-other exception may escape `cli.main`.  Numbers stay small (r <= 12,
+after a `DomainError` (exit 1) or an argparse usage error (exit 2, with
+nothing on stdout); no other exception may escape `cli.main`.  The
+command lines also exercise the dispatch on the command name: options
+are spelled as `--opt value`, `--opt=value` or by an unambiguous
+abbreviation, some end in an unknown option, and some name no command,
+an empty one or an unknown one.  `-h` is left out, since help exits 0
+with text that is not JSON.  Numbers stay small (r <= 12,
 numerators and denominators below 13) so that every command finishes at
 desk scale: the work of a jumping-number scan, for one, grows with
 lambda_max times the coefficients of Z.
@@ -104,7 +109,7 @@ valid_divisors = st.one_of(
 
 
 @st.composite
-def argvs(draw):
+def command_lines(draw):
     """One command line, with the model file it names (or None).  Half of
     them draw every field from well-formed values, so that the success
     paths are reached as well as the errors."""
@@ -135,6 +140,33 @@ def argvs(draw):
     return argv, file_bytes
 
 
+ABBREVIATIONS = {"--lambda": "--lam", "--lambda-max": "--lambda-m", "--primes": "--pri"}
+
+
+@st.composite
+def argvs(draw):
+    """A command line of `command_lines`, each option spelled as given, by
+    an abbreviation or joined to its value by '='; some get a trailing
+    unknown option, and some lose their command."""
+    argv, file_bytes = draw(command_lines())
+    spelled, i = argv[:1], 1
+    while i < len(argv):
+        if not argv[i].startswith("--"):  # the model
+            spelled.append(argv[i])
+            i += 1
+            continue
+        flag, value = argv[i], argv[i + 1]
+        style = draw(st.sampled_from(["given", "abbreviated", "joined"]))
+        flag = ABBREVIATIONS.get(flag, flag) if style == "abbreviated" else flag
+        spelled += [f"{flag}={value}"] if style == "joined" else [flag, value]
+        i += 2
+    if draw(st.integers(0, 9)) == 0:
+        spelled.append("--unknown-option")
+    if draw(st.integers(0, 9)) == 0:
+        spelled = draw(st.sampled_from([[], [""] + spelled[1:], ["nope"] + spelled[1:]]))
+    return spelled, file_bytes
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -157,6 +189,7 @@ def test_every_command_line_gets_json_or_a_usage_error(case):
         code, out = run_main(argv)
     assert code in (0, 1, 2), (argv, code)
     if code == 2:
+        assert out == "", argv
         return
     doc = json.loads(out)
     if code == 1:

@@ -173,3 +173,17 @@ def test_pair_inequality_fuzz():
         model = ResolutionModel(base.curves, base.matrix, (extra,))
         gamma = {"C": Fraction(rng.randint(0, 9), rng.randint(1, 4))}
         assert pair_inequality_check(model, gamma)
+
+
+def test_intersect_with_curves_on_a_chain_with_every_label():
+    selfs = (-2, -3, -2, -4, -2, -3)
+    labels = [DivisorLabel(f"E{i + 1}", "exceptional") for i in range(6)]
+    matrix = tuple(tuple(selfs[i] if i == j else int(abs(i - j) == 1) for j in range(6)) for i in range(6))
+    meets = (1, 0, 0, 0, 0, 2)
+    model = ResolutionModel(tuple(ExceptionalCurve(lab, s) for lab, s in zip(labels, selfs)), matrix, (Extra(C, meets),))
+    coeffs = [Fraction(3, 2), Fraction(-1), Fraction(2, 3), Fraction(5), Fraction(0), Fraction(-7, 4)]
+    d = DivisorVector(list(zip(labels, coeffs)) + [(C, Fraction(1, 3))])
+    expected = tuple(sum(coeffs[i] * matrix[i][j] for i in range(6)) + Fraction(1, 3) * meets[j] for j in range(6))
+    assert model.intersect_with_curves(d) == expected
+    with pytest.raises(InvalidModel, match="unknown exceptional label 'E7'"):
+        model.intersect_with_curves(DivisorVector([(DivisorLabel("E7", "exceptional"), 1)]))

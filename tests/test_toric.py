@@ -260,3 +260,15 @@ def test_monomial_ideal_sum_and_intersection_against_brute_force():
             assert {u for u in box if i1.contains_point(u)} == brute_ideal_points(model, g1, box=6)
             assert i1.intersect(i2).issubset(i1)
             assert i1.issubset(i1.sum(i2))
+
+
+def test_equal_models_hash_equal_and_share_section_caches():
+    # the hash reads (r, a) only, so a cache lookup costs the same on any chain
+    first, second = hj_resolve(1009, 1008), hj_resolve(1009, 1008)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != hj_resolve(1009, 2)
+    toric._section_min_gens_cached.cache_clear()
+    toric.corner_stairs(first, 3, 5)
+    toric.corner_stairs(second, 3, 5)
+    info = toric._section_min_gens_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
