@@ -34,7 +34,6 @@ from .toric import (
     MonomialIdeal,
     ToricSurfaceModel,
     cartier_index,
-    fractional_canonical_pullback,
     hj_resolve,
     m_limiting_relative_canonical,
     monomial_valuation,

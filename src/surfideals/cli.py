@@ -364,12 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(name: str, argv: list[str]) -> list[str]:
+    """`--lambda -1/2` as `--lambda=-1/2`: argparse reads a token that starts
+    with '-' as an option unless it is a decimal number like -1 or -.5."""
+    flags = [flag for flag, _ in COMMANDS[name][2] if flag.startswith("--")]
+    glued: list[str] = []
+    for tok in argv:
+        if tok[:1] == "-" and tok[1:2].isdigit() and glued and len(glued[-1]) > 2 and any(f.startswith(glued[-1]) for f in flags):
+            glued[-1] += "=" + tok
+        else:
+            glued.append(tok)
+    return glued
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in COMMANDS:
         build_parser().parse_args(argv)  # usage, help or a usage error: it exits
     name = argv[0]
-    args = _add_arguments(argparse.ArgumentParser(prog="surfideals " + name), name).parse_args(argv[1:])
+    args = _add_arguments(argparse.ArgumentParser(prog="surfideals " + name), name).parse_args(_glue_negative_values(name, argv[1:]))
     try:
         doc = COMMANDS[name][1](args)
     except DomainError as exc:

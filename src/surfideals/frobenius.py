@@ -251,21 +251,17 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
     return TestIdealResult(ideal, depth_used)
 
 
-def _test_ideal(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction) -> TestIdealResult:
-    """tau(X, W) for W = wl B_left + wr B_right: a toric pair, validated by
-    `PairSpec`, is its model and two boundary coefficients."""
-    return _closure(model, p, wl, wr, _seed(model, wl, wr))
-
-
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:
-    """tau(X, lambda Z) with the largest Frobenius depth its closure used."""
-    return _test_ideal(pair.model, ctx.p, pair.w_left, pair.w_right)
+    """tau(X, lambda Z) with the largest Frobenius depth its closure used:
+    a toric pair, validated by `PairSpec`, is its model and two boundary
+    coefficients."""
+    return _closure(pair.model, ctx.p, pair.w_left, pair.w_right, _seed(pair.model, pair.w_left, pair.w_right))
 
 
 def test_ideal(pair: PairSpec, ctx: CharPContext) -> MonomialIdeal:
     """tau(X, lambda Z): the smallest nonzero ideal J with
     phi(F^e_* J) included in J for every twisted trace map phi."""
-    return _test_ideal(pair.model, ctx.p, pair.w_left, pair.w_right).ideal
+    return test_ideal_detailed(pair, ctx).ideal
 
 
 def test_ideal_of_divisor(model: ToricSurfaceModel, ctx: CharPContext, w: DivisorVector) -> MonomialIdeal:

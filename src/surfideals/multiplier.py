@@ -131,14 +131,12 @@ def multiplier_with_boundary(pair: PairSpec, delta: DivisorVector) -> MonomialId
     then Q-Cartier, as every torus-invariant Q-divisor on an affine toric
     surface is (its support function ell is linear).
     """
-    model = pair.model
-    boundary = set(model.boundary_labels)
-    if any(l not in boundary for l in delta.support):
+    bl, br = pair.model.boundary_labels
+    if any(l not in (bl, br) for l in delta.support):
         raise InvalidModel("Delta must be supported on the boundary rays")
     if not delta.is_effective():
         raise NonEffectiveGamma("Delta must be effective")
-    bl, br = model.boundary_labels
-    return _round_up_sections(model, pair.w_left + delta.coeff(bl), pair.w_right + delta.coeff(br))
+    return _round_up_sections(pair.model, pair.w_left + delta.coeff(bl), pair.w_right + delta.coeff(br))
 
 
 def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, MonomialIdeal]]:

@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
@@ -40,6 +40,8 @@ Pair = tuple[int, int]  # (s, t) = (<u, v_left>, <u, v_right>)
 
 LEFT = "BL"
 RIGHT = "BR"
+LEFT_LABEL = DivisorLabel(LEFT, "boundary")
+RIGHT_LABEL = DivisorLabel(RIGHT, "boundary")
 
 # Hard cap on the s values one section scan visits (at most |det| past
 # its last binding constraint): only inputs far past desk scale reach it.
@@ -97,38 +99,47 @@ class ToricSurfaceModel:
 
     # -- labels and rays ---------------------------------------------------
 
+    @cached_property
+    def _ray_table(self) -> dict[str, tuple[DivisorLabel, Point]]:
+        """name -> (label, vector) of every ray, left boundary to right: the
+        exceptional labels are built once per model.  Not a field, so
+        equality, hashing and cache keys ignore it."""
+        table = {LEFT: (LEFT_LABEL, self.v_left)}
+        for i, vec in enumerate(self.exceptional_rays):
+            table[f"E{i+1}"] = (DivisorLabel(f"E{i+1}", "exceptional"), vec)
+        table[RIGHT] = (RIGHT_LABEL, self.v_right)
+        return table
+
     @property
     def boundary_labels(self) -> tuple[DivisorLabel, DivisorLabel]:
-        return (DivisorLabel(LEFT, "boundary"), DivisorLabel(RIGHT, "boundary"))
+        return (LEFT_LABEL, RIGHT_LABEL)
 
     @property
     def exceptional_labels(self) -> tuple[DivisorLabel, ...]:
-        return tuple(DivisorLabel(f"E{i+1}", "exceptional") for i in range(len(self.exceptional_rays)))
+        return tuple(label for label, _ in self.rays()[1:-1])
 
     def rays(self) -> tuple[tuple[DivisorLabel, Point], ...]:
         """All rays of the resolution fan, left boundary to right boundary."""
-        bl, br = self.boundary_labels
-        return ((bl, self.v_left),) + tuple(zip(self.exceptional_labels, self.exceptional_rays)) + ((br, self.v_right),)
+        return tuple(self._ray_table.values())
+
+    def _entry(self, name: str) -> tuple[DivisorLabel, Point]:
+        try:
+            return self._ray_table[name]
+        except KeyError:
+            raise InvalidModel(f"model has no ray named {name!r}") from None
 
     def ray(self, name: str) -> Point:
-        for label, vec in self.rays():
-            if label.name == name:
-                return vec
-        raise InvalidModel(f"model has no ray named {name!r}")
+        return self._entry(name)[1]
 
     def label(self, name: str) -> DivisorLabel:
-        for label, _ in self.rays():
-            if label.name == name:
-                return label
-        raise InvalidModel(f"model has no ray named {name!r}")
+        return self._entry(name)[0]
 
     def divisor(self, coeffs: Mapping[str, RatLike]) -> DivisorVector:
         """Torus-invariant divisor from a ray-name -> coefficient map."""
         return DivisorVector([(self.label(n), rat(c)) for n, c in coeffs.items()])
 
     def boundary_divisor(self) -> DivisorVector:
-        bl, br = self.boundary_labels
-        return DivisorVector([(bl, 1), (br, 1)])
+        return DivisorVector([(LEFT_LABEL, 1), (RIGHT_LABEL, 1)])
 
     @property
     def det(self) -> int:
@@ -192,10 +203,9 @@ def pullback_divisor(model: ToricSurfaceModel, z: DivisorVector) -> DivisorVecto
     so the pullback is computed from the support function; it agrees with
     the numerical pullback by uniqueness.
     """
-    bl, br = model.boundary_labels
-    if any(l not in (bl, br) for l in z.support):
+    if any(l not in (LEFT_LABEL, RIGHT_LABEL) for l in z.support):
         raise InvalidModel("divisors on the base are supported on boundary rays only")
-    ell = support_function(model, z.coeff(bl), z.coeff(br))
+    ell = support_function(model, z.coeff(LEFT_LABEL), z.coeff(RIGHT_LABEL))
     return DivisorVector([(label, dot(ell, vec)) for label, vec in model.rays()])
 
 
@@ -203,11 +213,6 @@ def cartier_index(model: ToricSurfaceModel) -> int:
     """Smallest m >= 1 with m*K_X Cartier (K_X = -sum of boundary divisors)."""
     ell = support_function(model, Fraction(-1), Fraction(-1))
     return math.lcm(ell[0].denominator, ell[1].denominator)
-
-
-def canonical_divisor_on_resolution(model: ToricSurfaceModel) -> DivisorVector:
-    """K_Y = -(sum of all torus-invariant prime divisors of the fan)."""
-    return DivisorVector([(label, Fraction(-1)) for label, _ in model.rays()])
 
 
 def to_resolution(model: ToricSurfaceModel) -> ResolutionModel:
@@ -221,10 +226,9 @@ def to_resolution(model: ToricSurfaceModel) -> ResolutionModel:
         tuple(-model.hj[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(s))
         for i in range(s)
     )
-    bl, br = model.boundary_labels
     left_meets = tuple(1 if i == 0 else 0 for i in range(s))
     right_meets = tuple(1 if i == s - 1 else 0 for i in range(s))
-    extras = (Extra(bl, left_meets), Extra(br, right_meets))
+    extras = (Extra(LEFT_LABEL, left_meets), Extra(RIGHT_LABEL, right_meets))
     return ResolutionModel(curves, matrix, extras)
 
 
@@ -241,12 +245,7 @@ def section_module_min_gens(model: ToricSurfaceModel, bounds: Mapping[str, int])
     """
     if LEFT not in bounds or RIGHT not in bounds:
         raise InvalidModel("section bounds must constrain both boundary rays")
-    rays = {label.name: vec for label, vec in model.rays()}
-    exc = []
-    for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT)):
-        if name not in rays:
-            raise InvalidModel(f"model has no ray named {name!r}")
-        exc.append((name, rays[name], c))
+    exc = [(name, model.ray(name), c) for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT))]
     stairs = _section_min_gens_cached(model, int(bounds[LEFT]), int(bounds[RIGHT]), tuple(exc))
     return tuple(sorted(map(model.point, stairs)))
 
@@ -370,35 +369,25 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
         raise NotIntegral("pushforward needs integer coefficients; round first")
     bounds = {label.name: -int(c) for label, c in d.items()}
     c_left, c_right = (max(0, bounds.pop(name, 0)) for name in (LEFT, RIGHT))
-    exc = tuple((label.name, vec, bounds.pop(label.name)) for label, vec in model.rays() if label.name in bounds)
-    if bounds:
-        raise InvalidModel(f"divisor label {next(iter(bounds))!r} is not a ray of the model")
+    unknown = [name for name in bounds if name not in model._ray_table]
+    if unknown:
+        raise InvalidModel(f"divisor label {unknown[0]!r} is not a ray of the model")
+    exc = tuple((name, model.ray(name), c) for name, c in bounds.items())
     return MonomialIdeal(model, _section_min_gens_cached(model, c_left, c_right, exc))
 
 
-def fractional_canonical_pullback(model: ToricSurfaceModel, m: int) -> DivisorVector:
-    """The divisor of the inverse image on Y of the module O_X(-m K_X).
-
-    O_X(-m K_X) is the set of u with <u, v> >= -m on both boundary rays
-    (K_X has coefficient -1 on each boundary divisor); its inverse-image
-    ideal sheaf on Y is divisorial with multiplicity along each ray v the
-    minimum of <u, v> over the module's minimal generators.  Dividing by
-    m and subtracting from K_Y yields the m-limiting relative canonical.
+def m_limiting_relative_canonical(model: ToricSurfaceModel, m: int) -> DivisorVector:
+    """K_m = K_Y - (1/m) f_m, with f_m the divisor of the inverse image on Y
+    of O_X(-m K_X) = {u : <u, v> >= -m on both boundary rays} (de Fernex
+    and Hacon, 2009): its multiplicity along a ray v is the least <u, v>
+    over the module's staircase.  That is -m on both boundary rays (the
+    first and last stairs), so K_m is -1 - (1/m) min <u, v> on each
+    exceptional ray v and has no boundary component.  It equals K^num when
+    the Cartier index of K_X divides m, and is componentwise <= it always.
     """
     if m < 1:
         raise BadParameters("m must be a positive integer")
-    gens = section_module_min_gens(model, {LEFT: -m, RIGHT: -m})
-    coeffs = []
-    for label, vec in model.rays():
-        coeffs.append((label, Fraction(min(dot(u, vec) for u in gens))))
-    return DivisorVector(coeffs)
-
-
-def m_limiting_relative_canonical(model: ToricSurfaceModel, m: int) -> DivisorVector:
-    """K_Y - (1/m) * (pullback divisor of O_X(-m K_X)).
-
-    Equals the numerical relative canonical whenever the Cartier index of
-    K_X divides m, and is componentwise <= it for every m.
-    """
-    fsharp = fractional_canonical_pullback(model, m)
-    return canonical_divisor_on_resolution(model) - fsharp.scale(Fraction(1, m))
+    gens = [model.point(pair) for pair in corner_stairs(model, -m, -m)]
+    return DivisorVector(
+        (label, -1 - Fraction(min(dot(u, v) for u in gens), m)) for label, v in zip(model.exceptional_labels, model.exceptional_rays)
+    )

@@ -1,16 +1,21 @@
 """The functions that the benchmark's tracer wraps exist in the package.
 
 `perfbench/tracer.py` lists them in its TRACED table as (module,
-attribute path) pairs and patches each one by name.  This test reads
-that table, without installing the tracer, so that a rename or deletion
-under `src/` that strands a traced name fails the main test suite too.
+attribute path) pairs and patches each one by name, with every import
+alias of it.  These tests read that table, without installing the
+tracer, and run the benchmark's own alias test, so that a rename or
+deletion under `src/` that strands a traced name or an alias fails the
+main test suite too.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def test_every_traced_name_resolves():
@@ -25,3 +30,9 @@ def test_every_traced_name_resolves():
         if not callable(obj):
             missing.append(f"{module}.{path}")
     assert tracer.TRACED and missing == []
+
+
+def test_tracer_patches_every_import_alias():
+    test = "perfbench/tests/test_perfbench.py::test_tracer_patches_every_import_alias"
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", test], cwd=ROOT, capture_output=True, text=True)
+    assert result.returncode == 0, result.stdout + result.stderr

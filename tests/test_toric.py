@@ -16,7 +16,6 @@ from surfideals.toric import (
     MonomialIdeal,
     cartier_index,
     dot,
-    fractional_canonical_pullback,
     hj_resolve,
     m_limiting_relative_canonical,
     monomial_valuation,
@@ -188,7 +187,7 @@ def test_cartier_indices():
         assert cartier_index(model) == model.r // math.gcd(model.r, model.a + 1)
 
 
-def test_fractional_canonical_pullback_examples():
+def test_m_limiting_relative_canonical_examples():
     smooth = hj_resolve(1, 1)
     for m in (1, 2, 5):
         assert m_limiting_relative_canonical(smooth, m) == DivisorVector.zero()
@@ -198,9 +197,23 @@ def test_fractional_canonical_pullback_examples():
     e1 = third.label("E1")
     assert m_limiting_relative_canonical(third, 3) == DivisorVector([(e1, Fraction(-1, 3))])
     assert m_limiting_relative_canonical(third, 1) == DivisorVector([(e1, -1)])
-    # f-sharp boundary multiplicities realize the defining bound exactly
-    f = fractional_canonical_pullback(third, 3)
-    assert f.coeff(third.label(LEFT)) == -3 and f.coeff(third.label(RIGHT)) == -3
+    # K_m has no boundary component
+    for m in (1, 2, 3, 6):
+        assert m_limiting_relative_canonical(third, m).restrict(["boundary"]) == DivisorVector.zero()
+
+
+def test_m_limiting_relative_canonical_against_brute_force():
+    # K_m = -1 - min <u, v> / m on each ray v, with u over the generators of
+    # O_X(-m K_X) found by raw search; it is 0 on the boundary rays
+    for model in all_models(16):
+        for m in range(1, 7):
+            gens = brute_module_gens(model, {LEFT: -m, RIGHT: -m})
+            assert {min(dot(u, v) for u in gens) for v in (model.v_left, model.v_right)} == {-m}
+            expected = DivisorVector(
+                (label, -1 - Fraction(min(dot(u, v) for u in gens), m))
+                for label, v in zip(model.exceptional_labels, model.exceptional_rays)
+            )
+            assert m_limiting_relative_canonical(model, m) == expected, (model, m)
 
 
 def test_m_limiting_never_exceeds_numerical():
