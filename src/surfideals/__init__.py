@@ -14,6 +14,7 @@ from .errors import (
     AsymmetricMatrix,
     BadParameters,
     DomainError,
+    EnumerationLimitExceeded,
     InvalidModel,
     ModelFileError,
     NonEffectiveGamma,

@@ -223,8 +223,8 @@ def cmd_discrepancy(args) -> dict:
     return _discrepancy_doc(load_model(args.model))
 
 
-def _pair_from_args(args) -> PairSpec:
-    model = require_toric(load_model(args.model))
+def _pair_from_args(args, model) -> PairSpec:
+    model = require_toric(model)
     z = parse_boundary_divisor(model, args.z)
     return PairSpec(model, z, _parse_rat(args.lam, "--lambda"))
 
@@ -235,12 +235,11 @@ def cmd_mult_ideal(args) -> dict:
         coeffs = parse_coeff_map(args.z) if args.z not in ("0",) else {}
         d = multiplier.numerical_multiplier_divisor(model, coeffs, _parse_rat(args.lam, "--lambda"))
         return {"divisor": divisor_doc(d)}
-    pair = _pair_from_args(args)
-    return {"ideal": ideal_doc(multiplier.multiplier_ideal(pair))}
+    return {"ideal": ideal_doc(multiplier.multiplier_ideal(_pair_from_args(args, model)))}
 
 
 def cmd_m_limiting(args) -> dict:
-    ideal, km = multiplier._m_limiting(_pair_from_args(args), args.m)
+    ideal, km = multiplier._m_limiting(_pair_from_args(args, load_model(args.model)), args.m)
     return {"ideal": ideal_doc(ideal), "m": args.m, "relative_canonical_m": divisor_doc(km)}
 
 
@@ -254,7 +253,7 @@ def cmd_jumps(args) -> dict:
 
 def cmd_test_ideal(args) -> dict:
     ctx = CharPContext(args.p)  # the prime first, as `compare` checks --primes first
-    ideal = frobenius.test_ideal(_pair_from_args(args), ctx)
+    ideal = frobenius.test_ideal(_pair_from_args(args, load_model(args.model)), ctx)
     return {"ideal": ideal_doc(ideal), "p": args.p}
 
 
@@ -276,29 +275,29 @@ def cmd_compare(args) -> dict:
             "reports": [rep.to_dict() for rep in reports],
             "all_equal": all(rep.all_equal() for rep in reports),
         }
-    pair = _pair_from_args(args)
-    report = compare_mod.compare_pair(pair, primes=primes)
+    report = compare_mod.compare_pair(_pair_from_args(args, load_model(args.model)), primes=primes)
     return {"report": report.to_dict(), "all_equal": report.all_equal()}
 
 
 def cmd_check_negativity(args) -> dict:
     model = load_model(args.model)
-    res = toric.to_resolution(model) if isinstance(model, toric.ToricSurfaceModel) else model
     coeffs = parse_coeff_map(args.d)
-    by_name = {c.label.name: c.label for c in res.curves}
-    by_name.update({x.label.name: x.label for x in res.extras})
+    if isinstance(model, toric.ToricSurfaceModel):
+        by_name = {label.name: label for label, _ in model.rays()}
+    else:
+        by_name = {label.name: label for label in model.labels + tuple(x.label for x in model.extras)}
     try:
         d = DivisorVector([(by_name[name], c) for name, c in coeffs.items()])
     except KeyError as exc:
         raise BadParameters(f"unknown divisor label {exc.args[0]!r}") from None
-    dots = res.intersect_with_curves(d)
+    dots = model.intersect_with_curves(d)
     hypotheses = all(v >= 0 for v in dots) and all(
         c <= 0 for label, c in d.items() if label.kind != "exceptional"
     )
     return {
         "hypotheses_hold": hypotheses,
         "nonpositive": all(c <= 0 for _, c in d.items()),
-        "verdict": resolution.negativity_check(res, d),
+        "verdict": resolution.negativity_check(model, d),
     }
 
 

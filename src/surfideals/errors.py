@@ -35,3 +35,7 @@ class NonEffectiveGamma(DomainError):
 
 class ModelFileError(DomainError):
     pass
+
+
+class EnumerationLimitExceeded(DomainError):
+    """A section scan passed `toric.ENUMERATION_LIMIT` on a valid model."""

@@ -20,17 +20,17 @@ class SingularMatrix(DomainError):
 
 
 def _bareiss_forward(rows: list[list[int]]) -> tuple[list[list[int]], int]:
-    """Eliminate below the diagonal in place; returns (rows, sign) where
-    sign tracks row swaps.  Works on an n x m matrix with m >= n."""
+    """Eliminate below the diagonal in place; returns (rows, swaps), the
+    number of row swaps.  Works on an n x m matrix with m >= n."""
     n = len(rows)
-    sign = 1
+    swaps = 0
     prev = 1
     for k in range(n):
         if rows[k][k] == 0:
             for i in range(k + 1, n):
                 if rows[i][k] != 0:
                     rows[k], rows[i] = rows[i], rows[k]
-                    sign = -sign
+                    swaps += 1
                     break
             else:
                 raise SingularMatrix("zero pivot column in exact elimination")
@@ -43,7 +43,7 @@ def _bareiss_forward(rows: list[list[int]]) -> tuple[list[list[int]], int]:
                 assert r == 0, "Bareiss division must be exact"
                 rows[i][j] = q
         prev = pivot
-    return rows, sign
+    return rows, swaps
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -53,10 +53,10 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
         return 1
     rows = [list(map(int, row)) for row in matrix]
     try:
-        rows, sign = _bareiss_forward(rows)
+        rows, swaps = _bareiss_forward(rows)
     except SingularMatrix:
         return 0
-    return sign * rows[n - 1][n - 1]
+    return (-1) ** swaps * rows[n - 1][n - 1]
 
 
 def leading_minors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -67,20 +67,14 @@ def leading_minors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def is_negative_definite(matrix: Sequence[Sequence[int]]) -> bool:
     """Sylvester test: leading minors alternate in sign starting negative.
-    Read off one Bareiss pass without row swaps, whose k-th pivot is the
-    k-th leading minor while no pivot is zero (a zero one: not definite)."""
-    rows = [list(map(int, row)) for row in matrix]
-    prev = 1
-    for k, row in enumerate(rows):
-        pivot = row[k]
-        if pivot == 0 or (pivot < 0) != (k % 2 == 0):
-            return False
-        for other in rows[k + 1:]:
-            head = other[k]
-            for j in range(k + 1, len(row)):
-                other[j] = (pivot * other[j] - head * row[j]) // prev
-        prev = pivot
-    return True
+    Read off one Bareiss pass: with no row swap, pivot k is the k-th
+    leading minor; a swap or a singular matrix means a zero leading
+    minor, so the matrix is not definite."""
+    try:
+        rows, swaps = _bareiss_forward([list(map(int, row)) for row in matrix])
+    except SingularMatrix:
+        return False
+    return swaps == 0 and all((row[k] < 0) == (k % 2 == 0) for k, row in enumerate(rows))
 
 
 def solve(matrix: Sequence[Sequence[int]], rhs: Sequence[Fraction]) -> list[Fraction]:

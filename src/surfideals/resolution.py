@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from . import linalg
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
@@ -104,28 +104,17 @@ class ResolutionModel:
     def intersect_with_curves(self, d: DivisorVector) -> tuple[Fraction, ...]:
         """The vector (D . E_j)_j for a divisor supported on model labels."""
         dots = [Fraction(0)] * len(self.curves)
-        index = {label: i for i, label in enumerate(self.labels)}
+        rows = dict(zip(self.labels, self.matrix))
         for label, c in d.items():
-            if label.kind == "exceptional":
-                try:
-                    i = index[label]
-                except KeyError:
-                    raise InvalidModel(f"unknown exceptional label {label.name!r}") from None
-                for j in range(len(self.curves)):
-                    dots[j] += c * self.matrix[i][j]
+            if label.kind != "exceptional":
+                row = self.extra_by_name(label.name).meets
+            elif label in rows:
+                row = rows[label]
             else:
-                x = self.extra_by_name(label.name)
-                for j in range(len(self.curves)):
-                    dots[j] += c * x.meets[j]
+                raise InvalidModel(f"unknown exceptional label {label.name!r}")
+            for j, m in enumerate(row):
+                dots[j] += c * m
         return tuple(dots)
-
-
-def _exceptional_completion(model: ResolutionModel, dots: Sequence[Fraction]) -> list[Fraction]:
-    """Coefficients a with (sum a_i E_i) . E_j = dots_j for all j.
-
-    Unique because the intersection matrix is negative definite.
-    """
-    return linalg.solve(model.matrix, list(dots))
 
 
 def relative_canonical(model: ResolutionModel) -> DivisorVector:
@@ -135,7 +124,7 @@ def relative_canonical(model: ResolutionModel) -> DivisorVector:
     exceptional a with (K_Y - sum a_i E_i) . E_j = 0 for every j.
     """
     k_dots = [Fraction(v) for v in model.canonical_intersections()]
-    a = _exceptional_completion(model, k_dots)
+    a = linalg.solve(model.matrix, k_dots)
     return DivisorVector(zip(model.labels, a))
 
 
@@ -152,16 +141,17 @@ def numerical_pullback(model: ResolutionModel, coeffs: Mapping[str, RatLike]) ->
     """
     strict = DivisorVector([(model.extra_by_name(n).label, rat(c)) for n, c in coeffs.items()])
     dots = model.intersect_with_curves(strict)
-    a = _exceptional_completion(model, [-d for d in dots])
+    a = linalg.solve(model.matrix, [-d for d in dots])
     return strict + DivisorVector(zip(model.labels, a))
 
 
-def negativity_check(model: ResolutionModel, d: DivisorVector) -> bool:
+def negativity_check(model, d: DivisorVector) -> bool:
     """Surface negativity lemma as a runtime assertion.
 
     Tests the hypotheses (D . E_j >= 0 for all j, pushforward of D <= 0)
     and, when they hold, returns whether D <= 0 — which negative
-    definiteness forces to be true.  Vacuously true otherwise.
+    definiteness forces to be true.  Vacuously true otherwise.  It only calls
+    `model.intersect_with_curves`, so a `toric.ToricSurfaceModel` works too.
     """
     dots = model.intersect_with_curves(d)
     if any(v < 0 for v in dots):
@@ -185,6 +175,6 @@ def pair_inequality_check(model: ResolutionModel, gamma: Mapping[str, RatLike]) 
     strict = DivisorVector([(model.extra_by_name(n).label, c) for n, c in g.items()])
     g_dots = model.intersect_with_curves(strict)
     # pullback of K_X + Gamma has exceptional part a with M a = -(K+Gamma).E
-    a = _exceptional_completion(model, [-(kd + gd) for kd, gd in zip(k_dots, g_dots)])
+    a = linalg.solve(model.matrix, [-(kd + gd) for kd, gd in zip(k_dots, g_dots)])
     lhs = DivisorVector(zip(model.labels, (-ai for ai in a)))
     return lhs <= relative_canonical(model)

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
-from .errors import BadParameters, InvalidModel, NotIntegral
+from .errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
 from .resolution import ExceptionalCurve, Extra, ResolutionModel
 
 Point = tuple[int, int]
@@ -137,6 +137,16 @@ class ToricSurfaceModel:
     def divisor(self, coeffs: Mapping[str, RatLike]) -> DivisorVector:
         """Torus-invariant divisor from a ray-name -> coefficient map."""
         return DivisorVector([(self.label(n), rat(c)) for n, c in coeffs.items()])
+
+    def intersect_with_curves(self, d: DivisorVector) -> tuple[Fraction, ...]:
+        """(D . E_j)_j = c_{j-1} - b_j c_j + c_{j+1}, with c the coefficients
+        of D over `rays()` in order: the wall relation v_{j-1} + v_{j+1} =
+        b_j v_j gives D_{v_{j+-1}} . E_j = 1 and E_j^2 = -b_j (Fulton 1993)."""
+        coeffs = dict(d.items())
+        c = [coeffs.pop(label, Fraction(0)) for label, _ in self.rays()]
+        if coeffs:
+            raise InvalidModel(f"divisor label {next(iter(coeffs)).name!r} is not a ray of the model")
+        return tuple(c[j - 1] - b * c[j] + c[j + 1] for j, b in enumerate(self.hj, start=1))
 
     def boundary_divisor(self) -> DivisorVector:
         return DivisorVector([(LEFT_LABEL, 1), (RIGHT_LABEL, 1)])
@@ -289,7 +299,7 @@ def _section_min_gens_cached(
         if t == c_right:
             break
     else:
-        raise InvalidModel("section enumeration exceeds the desk-scale bound")
+        raise EnumerationLimitExceeded("section enumeration exceeds the desk-scale bound")
     return _minimal_stairs(pairs)
 
 

@@ -206,6 +206,7 @@ LONG_CHAIN_SHA256 = {
     ("discrepancy", "cyclic:1009/1008"): "35b5a7c13bf3a92254a29974a5b08dcce1a1780bbd63a9ae94fb632c3f639efd",
     ("resolve", "--r", "1009", "--a", "1008"): "354cdea1127227822d9af2a750caa745a25160a971bb41806ffec619a60f9025",
     ("pullback", "cyclic:1009/1008", "--d", '{"BL": "7/3", "BR": "5/2"}'): "9679669ae3778496048765d8d3b2479fdff36b24ee58cb6e23e6900d04dd1019",
+    ("check-negativity", "cyclic:1009/1008", "--d", '{"E1": "-1", "BR": "-1"}'): "acdefc2d1f60c33172f42468cecb5e91e6f45c6bccaba3d93297e5309e251be5",
 }
 
 
@@ -412,7 +413,13 @@ TORIC_PATH_SHA256 = {
     ("resolve", "--r", "12", "--a", "7"): "8e1eb17d6052a40ade648c3904d074842629073b77fb464ae4f504b9be4b145d",
     ("discrepancy", "cyclic:12/7"): "49e3769157597083a15f48135ba3aae2204f22931facaf45a0d3b980246b19e7",
     ("pullback", "cyclic:13/5", "--d", '{"BL": "3/2", "BR": "1/3"}'): "75995eda332c790405951731bbb10ed0a503847f7e534624f1a3e94d5e9b6552",
+    ("check-negativity", "cyclic:12/7", "--d", '{"E1": "-1", "E2": "-1/2", "BR": "-2"}'): "acdefc2d1f60c33172f42468cecb5e91e6f45c6bccaba3d93297e5309e251be5",
 }
+
+
+def test_every_toric_command_is_checked_for_linear_algebra():
+    # a new command joins TORIC_PATH_SHA256, so it cannot skip the check below
+    assert {argv[0] for argv in TORIC_PATH_SHA256} == set(COMMANDS) - {"catalog"}
 
 
 @pytest.mark.parametrize("argv", sorted(TORIC_PATH_SHA256))
@@ -436,6 +443,21 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]
+
+
+@pytest.mark.parametrize("kind", ["address", "file"])
+def test_mult_ideal_loads_its_model_once(capsys, monkeypatch, tmp_path, kind):
+    # the pair is built on the model the command has loaded, not on a second load
+    address = "cyclic:12/7"
+    if kind == "file":
+        address = str(tmp_path / "c127.json")
+        (tmp_path / "c127.json").write_text(json.dumps({"kind": "cyclic", "r": 12, "a": 7}))
+    calls = []
+    resolve = toric.hj_resolve
+    monkeypatch.setattr(toric, "hj_resolve", lambda *args: calls.append(args) or resolve(*args))
+    code, doc = run_cli(capsys, "mult-ideal", address, "--z", "boundary", "--lambda", "1/2")
+    assert code == 0 and doc["ideal"]["is_unit"]
+    assert calls == [(12, 7)]
 
 
 def test_discrepancy_solves_one_linear_system(capsys, monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ def test_minor_examples():
     assert leading_minors([[-2]]) == (-2,)
     assert leading_minors([[-2, 1], [1, -2]]) == (-2, 3)
     assert determinant([[-1, 2], [2, -1]]) == -3
+    assert determinant([[0, 1], [1, 0]]) == -1
 
 
 def test_negative_definite_examples():
@@ -18,6 +19,8 @@ def test_negative_definite_examples():
     assert not is_negative_definite([[-1, 2], [2, -1]])
     assert not is_negative_definite([[0]])
     assert not is_negative_definite([[2]])
+    # nonsingular with a zero first leading minor: the elimination swaps rows
+    assert not is_negative_definite([[0, 1], [1, 0]])
 
 
 def test_solve_small_system():

@@ -7,7 +7,7 @@ import pytest
 from conftest import brute_ideal_points, brute_module_gens
 from surfideals import toric
 from surfideals.divisors import DivisorVector
-from surfideals.errors import BadParameters, InvalidModel, NotIntegral
+from surfideals.errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
 from surfideals.linalg import determinant
 from surfideals.resolution import discrepancies, numerical_pullback, relative_canonical
 from surfideals.toric import (
@@ -142,7 +142,7 @@ def test_section_scan_cap_counts_the_s_values_visited(monkeypatch):
         assert section_module_min_gens(model, {LEFT: 0, RIGHT: 0}) == ((0, 0),)
         try:
             outcomes.append(section_module_min_gens(model, bounds))
-        except InvalidModel:
+        except EnumerationLimitExceeded:
             outcomes.append(None)
     toric._section_min_gens_cached.cache_clear()
     visited = outcomes.count(None) + 1
@@ -243,6 +243,22 @@ def test_numerical_pullback_agrees_with_support_function():
             lattice = pullback_divisor(model, z)
             numerical = numerical_pullback(res, {LEFT: zl, RIGHT: zr})
             assert lattice == numerical
+
+
+def test_intersection_numbers_off_the_fan_against_the_matrix():
+    # the wall relation v_{j-1} + v_{j+1} = b_j v_j against the intersection
+    # matrix and extras of to_resolution, with every ray label in play
+    rng = random.Random(29)
+    for model in all_models(30):
+        res = to_resolution(model)
+        labels = [label for label, _ in model.rays()]
+        for _ in range(3):
+            d = DivisorVector(
+                (label, Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for label in labels if rng.random() < 0.7
+            )
+            assert model.intersect_with_curves(d) == res.intersect_with_curves(d)
+    with pytest.raises(InvalidModel):
+        hj_resolve(5, 2).intersect_with_curves(DivisorVector([(hj_resolve(7, 3).label("E3"), 1)]))
 
 
 def test_monomial_ideal_antichain_and_order():
