@@ -37,7 +37,6 @@ from .toric import (
     cartier_index,
     hj_resolve,
     m_limiting_relative_canonical,
-    monomial_valuation,
     pushforward_sections,
     section_module_min_gens,
     to_resolution,

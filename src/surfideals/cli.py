@@ -290,15 +290,8 @@ def cmd_check_negativity(args) -> dict:
         d = DivisorVector([(by_name[name], c) for name, c in coeffs.items()])
     except KeyError as exc:
         raise BadParameters(f"unknown divisor label {exc.args[0]!r}") from None
-    dots = model.intersect_with_curves(d)
-    hypotheses = all(v >= 0 for v in dots) and all(
-        c <= 0 for label, c in d.items() if label.kind != "exceptional"
-    )
-    return {
-        "hypotheses_hold": hypotheses,
-        "nonpositive": all(c <= 0 for _, c in d.items()),
-        "verdict": resolution.negativity_check(model, d),
-    }
+    hypotheses, nonpositive = resolution.negativity_lemma(model, d)
+    return {"hypotheses_hold": hypotheses, "nonpositive": nonpositive, "verdict": nonpositive or not hypotheses}
 
 
 def cmd_catalog(_args) -> dict:

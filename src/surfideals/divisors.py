@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Optional, Union
 
 KINDS = ("exceptional", "strict-transform", "boundary")
 
@@ -53,15 +53,9 @@ class DivisorVector:
 
     __slots__ = ("_items",)
 
-    def __init__(self, coeffs: Union[Mapping[DivisorLabel, RatLike], Iterable[tuple[DivisorLabel, RatLike]], None] = None):
-        if coeffs is None:
-            pairs = []
-        elif isinstance(coeffs, Mapping):
-            pairs = list(coeffs.items())
-        else:
-            pairs = list(coeffs)
+    def __init__(self, coeffs: Optional[Iterable[tuple[DivisorLabel, RatLike]]] = None):
         acc: dict[DivisorLabel, Fraction] = {}
-        for label, c in pairs:
+        for label, c in coeffs or ():
             if not isinstance(label, DivisorLabel):
                 raise TypeError(f"keys must be DivisorLabel, got {type(label).__name__}")
             acc[label] = acc.get(label, Fraction(0)) + rat(c)
@@ -136,11 +130,6 @@ class DivisorVector:
             return NotImplemented
         labels = set(self.support) | set(other.support)
         return all(self.coeff(l) <= other.coeff(l) for l in labels)
-
-    def __ge__(self, other: "DivisorVector") -> bool:
-        if not isinstance(other, DivisorVector):
-            return NotImplemented
-        return other.__le__(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DivisorVector) and self._items == other._items

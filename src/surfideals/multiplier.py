@@ -61,6 +61,14 @@ from .toric import (
 JUMPS_LIMIT = 100_000
 
 
+def _check_effective(lam: Fraction, z_effective: bool) -> None:
+    """The pair (X, lam Z) is effective: lam >= 0, then Z >= 0."""
+    if lam < 0:
+        raise InvalidModel("the scaling factor must be >= 0")
+    if not z_effective:
+        raise InvalidModel("Z must be effective")
+
+
 @dataclass(frozen=True)
 class PairSpec:
     """An effective pair (X, lambda * Z) with Z supported on the boundary.
@@ -78,10 +86,7 @@ class PairSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", rat(self.lam))
-        if self.lam < 0:
-            raise InvalidModel("the scaling factor must be >= 0")
-        if not self.z.is_effective():
-            raise InvalidModel("Z must be effective")
+        _check_effective(self.lam, self.z.is_effective())
         bl, br = self.model.boundary_labels
         if any(l not in (bl, br) for l in self.z.support):
             raise InvalidModel("Z must be supported on the boundary rays")
@@ -161,8 +166,10 @@ def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, Mo
 
 def numerical_multiplier_divisor(model, z_coeffs, lam: RatLike) -> DivisorVector:
     """Divisor-level output for bare resolution models (no coordinate ring):
-    the round-up of K^num - pi*_num(lambda Z) with Z given through extras."""
-    lam = rat(lam)
-    scaled = {name: lam * rat(c) for name, c in z_coeffs.items()}
+    the round-up of K^num - pi*_num(lambda Z) with Z given through extras;
+    the pair must be effective, as a `PairSpec` must."""
+    lam, z = rat(lam), {name: rat(c) for name, c in z_coeffs.items()}
+    _check_effective(lam, all(c >= 0 for c in z.values()))
+    scaled = {name: lam * c for name, c in z.items()}
     knum = relative_canonical(model)
     return (knum - numerical_pullback(model, scaled)).ceil()

@@ -145,20 +145,23 @@ def numerical_pullback(model: ResolutionModel, coeffs: Mapping[str, RatLike]) ->
     return strict + DivisorVector(zip(model.labels, a))
 
 
-def negativity_check(model, d: DivisorVector) -> bool:
-    """Surface negativity lemma as a runtime assertion.
+def negativity_lemma(model, d: DivisorVector) -> tuple[bool, bool]:
+    """(hypotheses hold, D <= 0) for the surface negativity lemma.
 
-    Tests the hypotheses (D . E_j >= 0 for all j, pushforward of D <= 0)
-    and, when they hold, returns whether D <= 0 — which negative
-    definiteness forces to be true.  Vacuously true otherwise.  It only calls
+    The hypotheses are D . E_j >= 0 for all j and pushforward of D <= 0;
+    negative definiteness forces D <= 0 when they hold.  It only calls
     `model.intersect_with_curves`, so a `toric.ToricSurfaceModel` works too.
     """
     dots = model.intersect_with_curves(d)
-    if any(v < 0 for v in dots):
-        return True
-    if any(c > 0 for label, c in d.items() if label.kind != "exceptional"):
-        return True
-    return all(c <= 0 for _, c in d.items())
+    hypotheses = all(v >= 0 for v in dots) and all(c <= 0 for label, c in d.items() if label.kind != "exceptional")
+    return hypotheses, all(c <= 0 for _, c in d.items())
+
+
+def negativity_check(model, d: DivisorVector) -> bool:
+    """The lemma as a runtime assertion: D <= 0 when the hypotheses hold,
+    vacuously true otherwise."""
+    hypotheses, nonpositive = negativity_lemma(model, d)
+    return nonpositive or not hypotheses
 
 
 def pair_inequality_check(model: ResolutionModel, gamma: Mapping[str, RatLike]) -> bool:

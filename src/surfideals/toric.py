@@ -191,11 +191,6 @@ def hj_resolve(r: int, a: int) -> ToricSurfaceModel:
     return ToricSurfaceModel(r, a, (0, 1), (r, -a), tuple(rays[1:-1]), bs)
 
 
-def monomial_valuation(model: ToricSurfaceModel, ray_name: str, u: Point) -> int:
-    """ord along the divisor of `ray_name` of the monomial x^u: <u, v>."""
-    return dot(u, model.ray(ray_name))
-
-
 def support_function(model: ToricSurfaceModel, c_left: Fraction, c_right: Fraction) -> tuple[Fraction, Fraction]:
     """The linear functional ell in M_Q with <ell, v_left> = c_left and
     <ell, v_right> = c_right.  Unique since the boundary rays are a basis
@@ -379,9 +374,6 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
         raise NotIntegral("pushforward needs integer coefficients; round first")
     bounds = {label.name: -int(c) for label, c in d.items()}
     c_left, c_right = (max(0, bounds.pop(name, 0)) for name in (LEFT, RIGHT))
-    unknown = [name for name in bounds if name not in model._ray_table]
-    if unknown:
-        raise InvalidModel(f"divisor label {unknown[0]!r} is not a ray of the model")
     exc = tuple((name, model.ray(name), c) for name, c in bounds.items())
     return MonomialIdeal(model, _section_min_gens_cached(model, c_left, c_right, exc))
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from surfideals import linalg, multiplier, toric
+from surfideals import linalg, multiplier, resolution, toric
 from surfideals.cli import COMMANDS, build_parser, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
@@ -158,6 +158,34 @@ def test_negative_rational_reaches_the_handler_in_every_spelling(capsys, command
     assert results == [(1, {"error": {"type": "InvalidModel", "message": message}})] * 3
 
 
+@pytest.mark.parametrize(
+    "argv,error,message",
+    [
+        (("compare", "cyclic:5/2", "--primes", "2,4"), "BadParameters", "4 is not prime"),
+        (("pullback", "cyclic:5/2", "--d", '{"E1": "1"}'), "InvalidModel", "model has no extra divisor named 'E1'"),
+        (("pullback", "cyclic:5/2", "--d", '{"X": "1"}'), "InvalidModel", "model has no extra divisor named 'X'"),
+        (("check-negativity", "cyclic:5/2", "--d", '{"X": "-1"}'), "BadParameters", "unknown divisor label 'X'"),
+        (("mult-ideal", "cyclic:5/2", "--z", '{"X": "1"}'), "InvalidModel", "model has no ray named 'X'"),
+    ],
+)
+def test_bad_labels_and_primes_are_typed_errors(capsys, argv, error, message):
+    assert run_cli(capsys, *argv) == (1, {"error": {"type": error, "message": message}})
+
+
+@pytest.mark.parametrize(
+    "z,lam,message",
+    [("1", "-1/2", "the scaling factor must be >= 0"), ("-1", "1/2", "Z must be effective")],
+)
+def test_dualgraph_pair_must_be_effective(capsys, tmp_path, z, lam, message):
+    # a pair on a dual graph is checked as a toric PairSpec is, with the same error
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"kind": "dualgraph", "curves": [{"label": "E1", "self_intersection": -2}],
+                                "extras": [{"label": "C", "meets": [1]}]}))
+    expected = (1, {"error": {"type": "InvalidModel", "message": message}})
+    assert run_cli(capsys, "mult-ideal", str(path), "--z", json.dumps({"C": z}), "--lambda", lam) == expected
+    assert run_cli(capsys, "mult-ideal", "cyclic:2/1", "--z", json.dumps({"BR": z}), "--lambda", lam) == expected
+
+
 def test_compare_huge_denominator_pair(capsys):
     # ord_2 mod 1000003 is huge, but the closure only goes to the stable
     # depth of the pair, about log_2 of the denominator
@@ -279,6 +307,21 @@ def test_check_negativity_cli(capsys):
     assert doc == {"hypotheses_hold": True, "nonpositive": True, "verdict": True}
 
 
+@pytest.mark.parametrize("kind", ["cyclic", "dualgraph"])
+def test_check_negativity_intersects_once(capsys, monkeypatch, tmp_path, kind):
+    # the hypotheses, D <= 0 and the verdict come from one vector of D . E_j
+    cls, address = toric.ToricSurfaceModel, "cyclic:5/2"
+    if kind == "dualgraph":
+        cls, address = resolution.ResolutionModel, str(tmp_path / "a2.json")
+        (tmp_path / "a2.json").write_text(json.dumps(A2_FILE))
+    calls = []
+    intersect = cls.intersect_with_curves
+    monkeypatch.setattr(cls, "intersect_with_curves", lambda self, d: calls.append(d) or intersect(self, d))
+    code, doc = run_cli(capsys, "check-negativity", address, "--d", '{"E1": "-1", "E2": "-1/2"}')
+    assert (code, doc) == (0, {"hypotheses_hold": True, "nonpositive": True, "verdict": True})
+    assert len(calls) == 1
+
+
 def test_catalog_cli(capsys):
     code, doc = run_cli(capsys, "catalog")
     assert code == 0
@@ -334,6 +377,7 @@ def test_model_file_errors_have_context(capsys, tmp_path):
         ({"label": "E1", "self_intersection": -2.5}, None),
         ({"label": "E1", "self_intersection": -2, "genus": 0.7}, None),
         ({"label": "E1", "self_intersection": -2}, {"label": "C", "meets": [1], "pushforward": True}),
+        ({"label": "E1", "self_intersection": -2}, {"label": "C"}),
     ],
 )
 def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curve, extra):
@@ -344,6 +388,33 @@ def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curv
     assert code == 1
     assert doc["error"]["type"] == "ModelFileError"
     assert str(path) in doc["error"]["message"]
+
+
+ONE_CURVE = {"kind": "dualgraph", "curves": [{"label": "E1", "self_intersection": -2}]}
+TWO_CURVES = dict(ONE_CURVE, curves=[{"label": "E1", "self_intersection": -2}, {"label": "E2", "self_intersection": -2}])
+
+
+@pytest.mark.parametrize(
+    "model,error,message",
+    [
+        (None, "ModelFileError", "cannot read model file {path!r}: [Errno 2] No such file or directory: {path!r}"),
+        ([], "ModelFileError", "{path}: top-level value must be an object"),
+        (dict(ONE_CURVE, intersections={}), "ModelFileError", "{path}: field 'intersections' must be a list"),
+        (dict(TWO_CURVES, intersections=[[0, 1]]), "ModelFileError", "{path}: intersections[0] must be [i, j, value]"),
+        (dict(TWO_CURVES, intersections=[[0, 1, -1]]), "InvalidModel", "off-diagonal intersection numbers must be >= 0"),
+        (dict(ONE_CURVE, curves=[{"label": "E1", "self_intersection": -2, "genus": -1}]), "InvalidModel",
+         "curve 'E1' has negative genus"),
+        (dict(ONE_CURVE, extras=[{"label": "C", "kind": "exceptional", "meets": [1]}]), "InvalidModel",
+         "extra 'C' cannot be exceptional"),
+        (dict(ONE_CURVE, extras=[{"label": "C", "meets": [-1]}]), "InvalidModel",
+         "extra 'C' has negative intersection numbers"),
+    ],
+)
+def test_model_file_errors_are_typed(capsys, tmp_path, model, error, message):
+    path = str(tmp_path / "model.json")
+    if model is not None:
+        (tmp_path / "model.json").write_text(json.dumps(model))
+    assert run_cli(capsys, "discrepancy", path) == (1, {"error": {"type": error, "message": message.format(path=path)}})
 
 
 def test_elliptic_cone_dualgraph(capsys, tmp_path):

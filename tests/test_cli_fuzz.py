@@ -7,10 +7,12 @@ command lines also exercise the dispatch on the command name: options
 are spelled as `--opt value`, `--opt=value` or by an unambiguous
 abbreviation, some end in an unknown option, and some name no command,
 an empty one or an unknown one.  `-h` is left out, since help exits 0
-with text that is not JSON.  Numbers stay small (r <= 12,
-numerators and denominators below 13) so that every command finishes at
-desk scale: the work of a jumping-number scan, for one, grows with
-lambda_max times the coefficients of Z.
+with text that is not JSON.  Well-formed lines reach long chains and
+large indices (1/1009(1,1008), 1/10007(1,2)), rationals up to 1000, m up
+to 50 and primes below 10^4.  A jumping-number scan builds one ideal per
+candidate, lambda_max times the coefficients of Z of them, so a
+well-formed scan is drawn with at most eight candidates, and a malformed
+one keeps numbers below 13 on the small models its addresses name.
 """
 
 import contextlib
@@ -31,8 +33,12 @@ DOMAIN_ERRORS = {
 }
 
 small_ints = st.integers(-3, 12)
-nonnegative_rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)).map(str)
-rational_text = st.one_of(nonnegative_rationals, st.builds("{}/{}".format, small_ints, st.integers(-2, 12)))
+small_rationals = st.builds(Fraction, st.integers(0, 12), st.integers(1, 12)).map(str)
+nonnegative_rationals = st.builds(Fraction, st.integers(0, 1000), st.integers(1, 1000)).map(str)
+rational_text = st.one_of(nonnegative_rationals, st.builds("{}/{}".format, st.integers(-3, 1000), st.integers(-2, 1000)))
+small_rational_text = st.one_of(small_rationals, st.builds("{}/{}".format, small_ints, st.integers(-2, 12)))
+PRIMES = [p for p in range(2, 10_000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+JUMP_CANDIDATES_PER_RAY = 4
 
 
 def _is_small(text: str) -> bool:
@@ -46,6 +52,7 @@ def _is_small(text: str) -> bool:
 
 free_text = st.text(max_size=5).filter(_is_small)
 rational_like = st.one_of(rational_text, free_text)
+small_rational_like = st.one_of(small_rational_text, free_text)  # a malformed jumps scan: at most 2 * 12 * 12 candidates
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), small_ints, st.floats(-12, 12), rational_like),
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
@@ -54,7 +61,10 @@ json_values = st.recursive(
 ray_names = st.sampled_from(["BL", "BR", "E1", "E2", "C", "X"])
 coeff_maps = st.dictionaries(ray_names, st.one_of(rational_text, json_values), max_size=3).map(json.dumps)
 divisor_text = st.one_of(st.sampled_from(["0", "boundary"]), coeff_maps, json_values.map(json.dumps), free_text)
-valid_primes = st.lists(st.sampled_from(["2", "3", "5", "7"]), min_size=1, max_size=3).map(",".join)
+small_divisor_text = st.one_of(
+    st.sampled_from(["0", "boundary"]), st.dictionaries(ray_names, small_rational_text, max_size=3).map(json.dumps), free_text
+)
+valid_primes = st.lists(st.sampled_from(PRIMES).map(str), min_size=1, max_size=3).map(",".join)
 prime_lists = st.one_of(st.lists(small_ints.map(str), max_size=3).map(",".join), free_text)
 
 curves = st.one_of(
@@ -101,11 +111,31 @@ cyclic_addresses = st.one_of(
     st.builds("cyclic:{}/{}".format, st.integers(-1, 12), st.integers(-1, 12)),
     free_text.map("cyclic:{}".format),
 )
-valid_addresses = st.sampled_from(["cyclic:1/1", "cyclic:2/1", "cyclic:3/1", "cyclic:5/2", "cyclic:7/3", "cyclic:12/5"])
+valid_addresses = st.one_of(  # half of them a long chain or a large index
+    st.sampled_from(["cyclic:1/1", "cyclic:2/1", "cyclic:3/1", "cyclic:5/2", "cyclic:7/3", "cyclic:12/5"]),
+    st.sampled_from(["cyclic:1009/1008", "cyclic:10007/2"]),
+)
 valid_divisors = st.one_of(
     st.sampled_from(["0", "boundary"]),
     st.dictionaries(st.sampled_from(["BL", "BR"]), nonnegative_rationals, max_size=2).map(json.dumps),
 )
+
+
+def _largest_coefficient(divisor: str) -> Fraction:
+    """The largest coefficient of a divisor drawn from `valid_divisors`."""
+    if divisor in ("0", "boundary"):
+        return Fraction(divisor == "boundary")
+    return max(map(Fraction, json.loads(divisor).values()), default=Fraction(0))
+
+
+@st.composite
+def few_jumps(draw, divisor: str) -> str:
+    """A lambda_max with at most JUMP_CANDIDATES_PER_RAY candidates on
+    each boundary ray for the well-formed Z `divisor`: a share in (0, 1]
+    of JUMP_CANDIDATES_PER_RAY / (largest coefficient of Z)."""
+    den, z_max = draw(st.integers(1, 1000)), _largest_coefficient(divisor)
+    share = Fraction(draw(st.integers(1, den)), den)
+    return str(share * (JUMP_CANDIDATES_PER_RAY / z_max if z_max else 1000))
 
 
 @st.composite
@@ -127,14 +157,17 @@ def command_lines(draw):
     divisor, rational = (valid_divisors, nonnegative_rationals) if well_formed else (divisor_text, rational_like)
     if command in ("pullback", "check-negativity"):
         argv += ["--d", draw(coeff_maps)]
+    elif command == "jumps" and well_formed:
+        z = draw(divisor)
+        argv += ["--z", z, "--lambda-max", draw(few_jumps(z))]
     elif command == "jumps":
-        argv += ["--z", draw(divisor), "--lambda-max", draw(rational)]
+        argv += ["--z", draw(small_divisor_text), "--lambda-max", draw(small_rational_like)]
     elif command != "discrepancy":
         argv += ["--z", draw(divisor), "--lambda", draw(rational)]
     if command == "m-limiting":
-        argv += ["--m", str(draw(st.integers(1, 6) if well_formed else st.integers(-1, 6)))]
+        argv += ["--m", str(draw(st.integers(1, 50) if well_formed else st.integers(-1, 50)))]
     elif command == "test-ideal":
-        argv += ["--p", str(draw(st.sampled_from([2, 3, 5, 7]) if well_formed else st.integers(-1, 31)))]
+        argv += ["--p", str(draw(st.sampled_from(PRIMES) if well_formed else st.integers(-1, 10_000)))]
     elif command == "compare":
         argv += ["--primes", draw(valid_primes if well_formed else prime_lists)]
     return argv, file_bytes
@@ -177,7 +210,7 @@ def run_main(argv):
     return code, out.getvalue()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=500)
+@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
 @given(argvs())
 def test_every_command_line_gets_json_or_a_usage_error(case):
     argv, file_bytes = case

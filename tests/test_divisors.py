@@ -109,6 +109,16 @@ def test_partial_order_and_effectivity():
     assert not dv((E1, "-1/3")).is_effective()
 
 
+def test_greater_or_equal_is_the_reflected_partial_order():
+    comparable = (dv((E1, 2), (E2, 1)), dv((E1, 1)))
+    incomparable = (dv((E1, 1), (E2, 1)), dv((E1, 2)))
+    for a, b in (comparable, comparable[::-1], incomparable, incomparable[::-1]):
+        assert (a >= b) == (b <= a)
+    assert comparable[0] >= comparable[1] and not comparable[1] >= comparable[0]
+    assert not incomparable[0] >= incomparable[1] and not incomparable[1] >= incomparable[0]
+    assert dv((C, "1/2")) >= dv((C, "1/2"))
+
+
 def test_restrict_by_kind():
     d = dv((E1, 1), (C, 2))
     assert d.restrict(["exceptional"]) == dv((E1, 1))

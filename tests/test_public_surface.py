@@ -1,0 +1,42 @@
+"""Every name `surfideals` exports has a use beyond its own tests.
+
+A use is a read of the name, bare or as an attribute, in `src/` (a
+definition and the imports of `__init__` read nothing), in a demo or in
+`tests/test_acceptance.py`, or a part of a layer name in
+`perfbench/tracer.py:TRACED`, which patches functions by name.  An export
+with none of these is code that only its own tests call: it goes, or
+moves to `tests/conftest.py` as an oracle.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import surfideals
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _read_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def _traced_names() -> set[str]:
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    return {part for _, path in ast.literal_eval(traced) for part in path.split(".")}
+
+
+def test_every_export_has_a_use():
+    sources = [path for path in (ROOT / "src" / "surfideals").glob("*.py") if path.name != "__init__.py"]
+    sources += list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    used = _traced_names().union(*map(_read_names, sources))
+    exported = {name for name in surfideals.__all__ if not inspect.ismodule(getattr(surfideals, name))}
+    assert sorted(exported - used) == []

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import brute_ideal_points, brute_module_gens
 from surfideals import toric
-from surfideals.divisors import DivisorVector
+from surfideals.divisors import DivisorLabel, DivisorVector
 from surfideals.errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
 from surfideals.linalg import determinant
 from surfideals.resolution import discrepancies, numerical_pullback, relative_canonical
@@ -18,7 +18,6 @@ from surfideals.toric import (
     dot,
     hj_resolve,
     m_limiting_relative_canonical,
-    monomial_valuation,
     negative_continued_fraction,
     pushforward_sections,
     section_module_min_gens,
@@ -105,12 +104,12 @@ def test_chain_determinant_is_class_group_order():
 
 def test_monomial_valuations():
     smooth = hj_resolve(1, 1)
-    assert monomial_valuation(smooth, RIGHT, (1, 0)) == 1
-    assert monomial_valuation(smooth, LEFT, (1, 0)) == 0
+    assert dot((1, 0), smooth.ray(RIGHT)) == 1
+    assert dot((1, 0), smooth.ray(LEFT)) == 0
     a1 = hj_resolve(2, 1)
     for u in ((1, 0), (1, 2)):  # the two extreme monoid generators of the A_1 chart
-        assert monomial_valuation(a1, "E1", u) == 1
-        assert monomial_valuation(a1, "E1", (0, 0)) == 0
+        assert dot(u, a1.ray("E1")) == 1
+        assert dot((0, 0), a1.ray("E1")) == 0
 
 
 def test_section_module_against_brute_force():
@@ -164,6 +163,13 @@ def test_pushforward_requires_integer_coefficients():
     a1 = hj_resolve(2, 1)
     with pytest.raises(NotIntegral):
         pushforward_sections(a1, a1.divisor({"E1": "1/2"}))
+
+
+def test_pushforward_names_a_label_that_is_not_a_ray():
+    # the ray table is the one check of a label, with the message every command prints
+    d = DivisorVector([(DivisorLabel("E2", "exceptional"), -1)])
+    with pytest.raises(InvalidModel, match="^model has no ray named 'E2'$"):
+        pushforward_sections(hj_resolve(2, 1), d)
 
 
 def test_pushforward_monotone_in_divisor():
