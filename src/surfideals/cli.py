@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Union
 
 from . import compare as compare_mod
@@ -35,8 +36,53 @@ def ideal_doc(ideal: toric.MonomialIdeal) -> dict:
     return {"generators": [list(g) for g in ideal.gens], "is_unit": ideal.is_unit()}
 
 
+def _write_json(value, indent: str, out: list[str]) -> None:
+    """Append to `out` the text of `value` exactly as
+    json.dumps(value, sort_keys=True, indent=2) writes it at the nesting
+    `indent`.  Only str-keyed dicts, lists, str, int, bool and None are
+    JSON here: anything else, a float included, raises TypeError."""
+    if value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    """Write `doc` as json.dumps(doc, sort_keys=True, indent=2) does, and a
+    newline.  The stdlib's C encoder ignores `indent`, so that call runs
+    the pure-Python encoder; `_write_json` does the same in one pass."""
+    out: list[str] = []
+    _write_json(doc, "", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
 
 
 # -- model loading ----------------------------------------------------------

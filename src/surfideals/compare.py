@@ -117,6 +117,11 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
 
 
 def _classify(j: MonomialIdeal, tau: MonomialIdeal) -> str:
+    """The verdict on J and tau, two ideals on one model.  A staircase is
+    canonical (the minimal pairs, sorted), so equal staircases are equal
+    ideals and need no containment test."""
+    if j.stairs == tau.stairs:
+        return EQUAL
     tau_in_j = tau.issubset(j)
     j_in_tau = j.issubset(tau)
     if tau_in_j and j_in_tau:
@@ -147,11 +152,11 @@ def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> Comp
         tau = test_ideal_detailed(pair, CharPContext(p)).ideal
         verdict = _classify(j, tau)
         verdicts.append(PrimeVerdict(p, verdict, test_gens=tau.gens if verdict != EQUAL else None))
-    stable_from = None
-    for v in verdicts:
-        if all(w.verdict == EQUAL for w in verdicts if w.p >= v.p):
-            stable_from = v.p
+    stable_from = None  # the first prime of the longest all-equal tail
+    for v in reversed(verdicts):
+        if v.verdict != EQUAL:
             break
+        stable_from = v.p
     if pair.z.is_zero():
         z_kind = "zero"
     elif pair.z == model.boundary_divisor():

@@ -38,14 +38,17 @@ So for every q >= |d (x + 1) - n| + d the corner bound
 max(0, ceil((x + b_v(e)) / q)) of `_corner` does not depend on e, and
 the depth-e image of an ideal I is one and the same ideal for every
 e >= E(I), the least e >= 1 with p^e at least that bound over the
-stairs of I and both rays (`_stable_depth`).
+stairs of I and both rays (`_stable_depth`).  Along a staircase sorted
+by s the pairing s rises and t falls, and the bound |d (x + 1) - n| + d
+is convex in x, so its maximum over the stairs sits at the first or the
+last stair: E(I) reads those two stairs only (`_depth_bound`).
 
 Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  `_closure` runs
 rounds; each works on Delta, the stairs that the previous round added
 (the seed's stairs first).  It takes the corners of every stair of Delta
 at every depth e = 1..E(Delta), keeps the minimal ones that the ideal
 does not already contain, and adds their corner modules.  It stops when
-a round adds no stair.
+a round finds no such corner, and so adds no stair.
   * Every stair x of the result entered some Delta exactly once (a stair
     that stops being minimal never becomes minimal again), and its round
     applied the depths 1..E(Delta), which include 1..E({x}).  By the
@@ -81,7 +84,7 @@ from .divisors import DivisorVector
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import LEFT, RIGHT, MonomialIdeal, Pair, Point, ToricSurfaceModel
-from .toric import _ceildiv, _minimal_stairs, corner_stairs, section_module_min_gens
+from .toric import _ceildiv, _minimal_stairs, _stairs_contain, corner_stairs, section_module_min_gens
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
 # (Sorenson and Webster, Strong pseudoprimes to twelve prime bases, 2015).
@@ -216,11 +219,22 @@ def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> tuple[Pair, .
     return corner_stairs(model, math.ceil(wl), math.ceil(wr))
 
 
+def _depth_bound(wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
+    """The largest |d (x + 1) - n| + d over the stair pairings x of the
+    staircase `stairs` on each boundary ray, whose coefficient is
+    w_v = n/d.  The bound is convex in x, and x runs monotonically along
+    the staircase, so the first and last stairs attain it (module
+    docstring)."""
+    (s0, t0), (s1, t1) = stairs[0], stairs[-1]
+    nl, dl, nr, dr = wl.numerator, wl.denominator, wr.numerator, wr.denominator
+    return max(max(abs(dl * (s0 + 1) - nl), abs(dl * (s1 + 1) - nl)) + dl,
+               max(abs(dr * (t0 + 1) - nr), abs(dr * (t1 + 1) - nr)) + dr)
+
+
 def _stable_depth(p: int, wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
-    """E(I) of the stable-depth lemma: the least e >= 1 with
-    p^e >= |d (x + 1) - n| + d for every stair pairing x of I on each
-    boundary ray, whose coefficient is w_v = n/d."""
-    bound = max(abs(w.denominator * (x + 1) - w.numerator) + w.denominator for pair in stairs for x, w in zip(pair, (wl, wr)))
+    """E(I) of the stable-depth lemma: the least e >= 1 with p^e at least
+    the `_depth_bound` of the staircase `stairs` of I, sorted by s."""
+    bound = _depth_bound(wl, wr, stairs)
     e, q = 1, p
     while q < bound:
         e, q = e + 1, q * p
@@ -236,19 +250,31 @@ class TestIdealResult:
 def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: tuple[Pair, ...]) -> TestIdealResult:
     """Close the ideal with staircase `seed` in semi-naive rounds, each
     mapping Delta, the stairs the last round added, at the depths
-    1..E(Delta) (module docstring).  `depth_used` is the largest depth
-    any round applied."""
-    ideal = MonomialIdeal(model, seed)
-    delta, depth_used = seed, 0
+    1..E(Delta) (module docstring).  A round works on bare staircases,
+    and Delta stays sorted by s, a filter of the grown staircase.  The
+    corner of `_corner` at the twist bound b_v(e) of a stair pairing x is
+    max(0, ceil((x + b_v(e)) / q)) = floor((x + ceil((q - 1) w_v)) / q),
+    as ceil(y / q) = floor((y + q - 1) / q) and x, w_v >= 0.
+    `depth_used` is the largest depth any round applied."""
+    nl, dl, nr, dr = wl.numerator, wl.denominator, wr.numerator, wr.denominator
+    stairs = delta = seed
+    depth_used = 0
     while delta:
         depth = _stable_depth(p, wl, wr, delta)
         depth_used = max(depth_used, depth)
-        bounds = [(q, _twist_bounds(q, wl, wr)) for q in (p**e for e in range(1, depth + 1))]
-        corners = _minimal_stairs(_corner(q, b, x) for q, b in bounds for x in delta)
-        added = [pair for c in corners if not ideal.contains_pair(*c) for pair in corner_stairs(model, *c)]
-        grown = MonomialIdeal(model, _minimal_stairs(ideal.stairs + tuple(added)))
-        delta, ideal = tuple(set(grown.stairs) - set(ideal.stairs)), grown
-    return TestIdealResult(ideal, depth_used)
+        corners = []
+        q = 1
+        for _ in range(depth):
+            q *= p
+            cl, cr = _ceildiv((q - 1) * nl, dl), _ceildiv((q - 1) * nr, dr)
+            corners += [((s + cl) // q, (t + cr) // q) for s, t in delta]
+        new = [c for c in _minimal_stairs(corners) if not _stairs_contain(stairs, *c)]
+        if not new:
+            break
+        grown = _minimal_stairs(stairs + tuple(pair for c in new for pair in corner_stairs(model, *c)))
+        old = set(stairs)
+        stairs, delta = grown, tuple(pair for pair in grown if pair not in old)
+    return TestIdealResult(MonomialIdeal(model, stairs), depth_used)
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:

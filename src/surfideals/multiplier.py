@@ -167,8 +167,11 @@ def jumping_numbers(pair: PairSpec, lam_max: RatLike) -> list[tuple[Fraction, Mo
 def numerical_multiplier_divisor(model, z_coeffs, lam: RatLike) -> DivisorVector:
     """Divisor-level output for bare resolution models (no coordinate ring):
     the round-up of K^num - pi*_num(lambda Z) with Z given through extras;
-    the pair must be effective, as a `PairSpec` must."""
+    the pair must be effective, as a `PairSpec` must.  An unknown name is
+    reported first, as a cyclic model reports an unknown ray first."""
     lam, z = rat(lam), {name: rat(c) for name, c in z_coeffs.items()}
+    for name in z:
+        model.extra_by_name(name)
     _check_effective(lam, all(c >= 0 for c in z.values()))
     scaled = {name: lam * c for name, c in z.items()}
     knum = relative_canonical(model)

@@ -71,6 +71,14 @@ def _minimal_stairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
     return tuple(stairs)
 
 
+def _stairs_contain(stairs: tuple[Pair, ...], s: int, t: int) -> bool:
+    """Whether the ideal with staircase `stairs` holds every monomial with
+    pairings >= (s, t): the last stair with s_i <= s has the least t among
+    them, found by bisection."""
+    i = bisect_right(stairs, s, key=itemgetter(0))
+    return i > 0 and stairs[i - 1][1] <= t
+
+
 def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
     """Expansion num/den = b_1 - 1/(b_2 - 1/(...)) with all b_i >= 2."""
     if den <= 0 or num <= den or math.gcd(num, den) != 1:
@@ -337,9 +345,7 @@ class MonomialIdeal:
 
     def contains_pair(self, s: int, t: int) -> bool:
         """Whether the ideal holds every monomial with pairings >= (s, t)."""
-        # the last stair with s_i <= s has the least t among them
-        i = bisect_right(self.stairs, s, key=itemgetter(0))
-        return i > 0 and self.stairs[i - 1][1] <= t
+        return _stairs_contain(self.stairs, s, t)
 
     def contains_point(self, u: Point) -> bool:
         return self.contains_pair(*self.model.pairing(u))

@@ -1,12 +1,16 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfideals import linalg, multiplier, resolution, toric
-from surfideals.cli import COMMANDS, build_parser, main
+from surfideals.cli import COMMANDS, build_parser, emit, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -571,3 +575,46 @@ def test_toric_commands_build_few_labels_per_ray(capsys, monkeypatch, argv):
     capsys.readouterr()
     assert code == 0
     assert len(built) <= rays + 4, len(built) / rays
+
+
+@pytest.mark.parametrize("z,lam", [("-1", "1/2"), ("1", "-1/2"), ("-1", "-1/2")])
+def test_unknown_label_is_reported_before_effectiveness(capsys, tmp_path, z, lam):
+    # both model kinds name an unknown label of Z before they check that the pair is effective
+    path = tmp_path / "a1.json"
+    path.write_text(json.dumps({"kind": "dualgraph", "curves": [{"label": "E1", "self_intersection": -2}],
+                                "extras": [{"label": "C", "meets": [1]}]}))
+    bad = json.dumps({"C": "1", "X": z})
+    assert run_cli(capsys, "mult-ideal", str(path), "--z", bad, "--lambda", lam) == (
+        1, {"error": {"type": "InvalidModel", "message": "model has no extra divisor named 'X'"}})
+    assert run_cli(capsys, "mult-ideal", "cyclic:2/1", "--z", json.dumps({"BR": "1", "X": z}), "--lambda", lam) == (
+        1, {"error": {"type": "InvalidModel", "message": "model has no ray named 'X'"}})
+
+
+json_text = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f ae\u00e9\u2028\u20ac\U0001f600'))
+json_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**80), 10**80), json_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+def _emitted(doc) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(doc)
+    return out.getvalue()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(json_docs)
+def test_emit_writes_what_json_dumps_writes(doc):
+    assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("doc", [0.5, {"a": [1, 2.0]}, [{"b": float("nan")}], {1: "a"}, (1, 2)])
+def test_emit_refuses_what_is_not_exact_json(doc):
+    # a float would break the exactness contract, so it fails loudly, and nothing is written
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(TypeError):
+        emit(doc)
+    assert out.getvalue() == ""

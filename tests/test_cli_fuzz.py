@@ -13,12 +13,15 @@ to 50 and primes below 10^4.  A jumping-number scan builds one ideal per
 candidate, lambda_max times the coefficients of Z of them, so a
 well-formed scan is drawn with at most eight candidates, and a malformed
 one keeps numbers below 13 on the small models its addresses name.
+Nine in ten well-formed lines name a cyclic model rather than a model
+file, and the test asserts a floor on the lines that exit 0.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -152,7 +155,10 @@ def command_lines(draw):
     if command == "catalog":
         return [command], None
     well_formed = draw(st.booleans())
-    file_bytes = draw(st.one_of(st.none(), model_files))
+    if well_formed and draw(st.integers(0, 9)):  # nine in ten well-formed lines name a cyclic model
+        file_bytes = None
+    else:
+        file_bytes = draw(st.one_of(st.none(), model_files))
     argv = [command, "MODEL" if file_bytes is not None else draw(valid_addresses if well_formed else cyclic_addresses)]
     divisor, rational = (valid_divisors, nonnegative_rationals) if well_formed else (divisor_text, rational_like)
     if command in ("pullback", "check-negativity"):
@@ -210,20 +216,32 @@ def run_main(argv):
     return code, out.getvalue()
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=1000)
-@given(argvs())
-def test_every_command_line_gets_json_or_a_usage_error(case):
-    argv, file_bytes = case
-    with tempfile.TemporaryDirectory() as tmp:
-        if file_bytes is not None:
-            path = Path(tmp) / "model.json"
-            path.write_bytes(file_bytes)
-            argv = [str(path) if arg == "MODEL" else arg for arg in argv]
-        code, out = run_main(argv)
-    assert code in (0, 1, 2), (argv, code)
-    if code == 2:
-        assert out == "", argv
-        return
-    doc = json.loads(out)
-    if code == 1:
-        assert doc["error"]["type"] in DOMAIN_ERRORS, (argv, doc)
+# Exit-0 lines among the examples: the count is fixed by derandomize=True,
+# and a floor keeps the success paths in reach when the strategies change.
+MIN_SUCCESSES = 250
+
+
+def test_every_command_line_gets_json_or_a_usage_error():
+    codes = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(argvs())
+    def check(case):
+        argv, file_bytes = case
+        with tempfile.TemporaryDirectory() as tmp:
+            if file_bytes is not None:
+                path = Path(tmp) / "model.json"
+                path.write_bytes(file_bytes)
+                argv = [str(path) if arg == "MODEL" else arg for arg in argv]
+            code, out = run_main(argv)
+        codes[code] += 1
+        assert code in (0, 1, 2), (argv, code)
+        if code == 2:
+            assert out == "", argv
+            return
+        doc = json.loads(out)
+        if code == 1:
+            assert doc["error"]["type"] in DOMAIN_ERRORS, (argv, doc)
+
+    check()
+    assert codes[0] >= MIN_SUCCESSES, codes

@@ -123,3 +123,34 @@ def test_strict_verdicts_are_reported(monkeypatch):
     shrunk = multiplier_ideal(pair).intersect(MonomialIdeal(SMOOTH, X3Y3))
     assert report.to_dict()["primes"][0]["test_ideal"] == [list(g) for g in shrunk.gens]
     assert "test_ideal" not in report.to_dict()["primes"][1]
+
+
+def _old_stable_from_prime(verdicts):
+    """The earlier quadratic scan, kept as the oracle: the first prime from
+    which every tested prime agrees."""
+    for v in verdicts:
+        if all(w.verdict == EQUAL for w in verdicts if w.p >= v.p):
+            return v.p
+    return None
+
+
+@pytest.mark.parametrize(
+    "shrunk,stable",
+    [((), 2), ((2,), 3), ((5,), 7), ((2, 5), 7), ((3, 7), 11), ((11,), None), ((5, 11), None), ((2, 3, 5, 7, 11), None)],
+)
+def test_stable_from_prime_is_the_first_prime_of_the_equal_tail(monkeypatch, shrunk, stable):
+    # a middle prime that disagrees moves stable_from_prime past it, and a
+    # last prime that disagrees leaves no prime from which all agree
+    pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
+    real = compare.test_ideal_detailed
+
+    def shrunk_at(pair, ctx):
+        result = real(pair, ctx)
+        if ctx.p not in shrunk:
+            return result
+        return frobenius.TestIdealResult(result.ideal.intersect(MonomialIdeal(SMOOTH, X3Y3)), result.depth_used)
+
+    monkeypatch.setattr(compare, "test_ideal_detailed", shrunk_at)
+    report = compare_pair(pair, primes=(11, 2, 7, 3, 5))
+    assert [v.verdict != EQUAL for v in report.verdicts] == [p in shrunk for p in (2, 3, 5, 7, 11)]
+    assert report.stable_from_prime == stable == _old_stable_from_prime(report.verdicts)

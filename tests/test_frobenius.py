@@ -11,6 +11,7 @@ from surfideals.errors import BadParameters, InvalidModel, NonEffectiveGamma
 from surfideals.frobenius import (
     CharPContext,
     _closure,
+    _depth_bound,
     _seed,
     _stable_depth,
     _trace_image,
@@ -195,6 +196,30 @@ def test_stable_depth_lemma():
             at_stable = image(stable)
             for e in range(stable + 1, stable + 8):
                 assert image(e) == at_stable, (model, p, wl, wr, ideal.gens, stable, e)
+
+
+def _all_stairs_bound(wl, wr, stairs):
+    """The stable-depth bound as a maximum over every stair: the oracle of
+    `_depth_bound`, which reads the first and last stairs only."""
+    return max(abs(w.denominator * (x + 1) - w.numerator) + w.denominator for pair in stairs for x, w in zip(pair, (wl, wr)))
+
+
+def test_depth_bound_reads_the_end_stairs():
+    # |d (x + 1) - n| + d is convex in x and x is monotone along a staircase,
+    # so the end stairs attain the maximum over all stairs
+    rng = random.Random(56)
+    models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 31) for a in range(1, r) if math.gcd(r, a) == 1]
+    for model in models:
+        monoid = [(i, j) for i in range(41) for j in range(41) if model.in_monoid((i, j))]
+        for _ in range(10):
+            stairs = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 8))).stairs
+            wl, wr = (Fraction(rng.randint(0, 200), rng.randint(1, 40)) for _ in range(2))
+            bound = _all_stairs_bound(wl, wr, stairs)
+            assert _depth_bound(wl, wr, stairs) == bound, (model, stairs, wl, wr)
+            p, e = rng.choice((2, 3, 5, 7, 31)), 1
+            while p**e < bound:
+                e += 1
+            assert _stable_depth(p, wl, wr, stairs) == e, (model, stairs, wl, wr, p)
 
 
 def test_adaptive_depth_reaches_the_fixed_point():
