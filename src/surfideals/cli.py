@@ -306,17 +306,15 @@ def cmd_test_ideal(args) -> dict:
 def cmd_compare(args) -> dict:
     primes = parse_primes(args.primes)
     if args.model == "catalog":
-        entries = compare_mod.catalog_entries()
-        run = lambda entry: compare_mod.compare_entry(entry, primes=primes)
         if args.jobs > 1:
             from concurrent.futures import ThreadPoolExecutor  # only the pooled path pays for the import
 
             with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(run, entries))
+                reports = compare_mod.compare_catalog(primes, map=pool.map)
         else:
-            reports = [run(entry) for entry in entries]
+            reports = compare_mod.compare_catalog(primes)
         return {
-            "catalog_size": len(entries),
+            "catalog_size": len(reports),
             "primes": list(primes),
             "reports": [rep.to_dict() for rep in reports],
             "all_equal": all(rep.all_equal() for rep in reports),
@@ -353,6 +351,18 @@ def cmd_catalog(_args) -> dict:
 
 # -- parser -----------------------------------------------------------------
 
+
+def _jobs(text: str) -> int:
+    """A --jobs value: an integer of at least 1; anything else is a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 MODEL = ("model", {"help": "cyclic:R/A or a JSON model file"})
 PAIR = (MODEL, ("--z", {"default": "0", "help": "'0', 'boundary', or JSON ray map"}),
         ("--lambda", {"dest": "lam", "default": "1", "help": "rational scaling of Z"}))
@@ -375,7 +385,7 @@ COMMANDS = {
         ("--z", {"default": "0"}),
         ("--lambda", {"dest": "lam", "default": "1"}),
         ("--primes", {"default": ",".join(str(p) for p in compare_mod.PRIMES_DEFAULT)}),
-        ("--jobs", {"type": int, "default": 1}),
+        ("--jobs", {"type": _jobs, "default": 1}),
     )),
     "check-negativity": ("surface negativity-lemma check for a divisor", cmd_check_negativity,
                          (MODEL, ("--d", {"required": True, "help": "JSON map label -> rational"}))),

@@ -7,22 +7,31 @@ catalog is the desk-scale grid that the acceptance suite and the CLI
 share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 {0, toric boundary}, lambda in {0, 1/2, 2/3, 1, 5/4}.
 
+Both ideals depend on a pair only through its model and W = lambda Z,
+which `PairSpec` reduces to the two boundary coefficients w_left and
+w_right.  In each of the 45 models six of the ten entries are the pair
+(X, 0): Z = 0 at every lambda, and the boundary Z at lambda = 0.  So
+the 450 entries are 225 distinct pairs, and `compare_catalog` compares
+each distinct pair once and reports it under the id of every entry that
+names it.
+
 A report never claims anything about untested primes: it records the
 smallest tested prime from which agreement is unbroken, and the verdict
 for each tested prime.  Every prime is tested, p | r included.  On toric
 pairs tau = J = O_X(-floor(W)) in every characteristic by theorem (the
 `multiplier` and `frobenius` module docstrings; Blickle 2004), so every
 verdict is `equal`.  The harness still computes tau from its definition,
-the trace-map closure, so each verdict checks that closure against the
-multiplier ideal rather than a formula against itself.
+the trace-map closure, at every prime of every distinct pair, so each
+verdict checks that closure against the multiplier ideal rather than a
+formula against itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .divisors import DivisorVector
 from .frobenius import CharPContext, test_ideal_detailed
@@ -169,3 +178,24 @@ def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> Comp
 
 def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT) -> ComparisonReport:
     return compare_pair(entry.pair(), primes=primes)
+
+
+def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map) -> list[ComparisonReport]:
+    """The report of every catalog entry, in catalog order.
+
+    Each model is resolved once and each entry's `PairSpec` validates it.
+    Entries with the same model and W share one `compare_pair` call, made
+    through `map` over the distinct pairs (`compare catalog --jobs N`
+    passes a thread pool's), and each entry gets that report under its
+    own id.
+    """
+    entries = catalog_entries()
+    models = {key: hj_resolve(*key) for key in dict.fromkeys((e.r, e.a) for e in entries)}
+    keys, distinct = [], {}
+    for e in entries:
+        model = models[e.r, e.a]
+        pair = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
+        keys.append((e.r, e.a, pair.w_left, pair.w_right))
+        distinct.setdefault(keys[-1], pair)
+    shared = dict(zip(distinct, map(lambda pair: compare_pair(pair, primes), distinct.values())))
+    return [replace(shared[key], pair_id=e.entry_id) for e, key in zip(entries, keys)]

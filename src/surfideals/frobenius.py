@@ -96,8 +96,10 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test for n below _MR_LIMIT."""
     if n >= _MR_LIMIT:
         raise BadParameters(f"primality of {n} is not decided above {_MR_LIMIT}")
+    if n in _MR_BASES:
+        return True
     if n < 2 or any(n % b == 0 for b in _MR_BASES):
-        return n in _MR_BASES
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfideals import linalg, multiplier, resolution, toric
+from surfideals import compare, frobenius, linalg, multiplier, resolution, toric
 from surfideals.cli import COMMANDS, build_parser, emit, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
@@ -41,6 +41,56 @@ def test_usage_error_exits_2(capsys):
         main(["resolve", "--r", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, monkeypatch, jobs):
+    # refused by the parser: no thread pool is built and nothing is printed
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(compare, "compare_catalog", no_pool)
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "catalog", "--primes", "2,3", "--jobs", jobs])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _stdout(capsys, *argv) -> str:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_catalog_bytes_do_not_depend_on_jobs(capsys):
+    # a fast companion of acceptance criterion 8, in process
+    one = _stdout(capsys, "compare", "catalog", "--primes", "2,3", "--jobs", "1")
+    assert _stdout(capsys, "compare", "catalog", "--primes", "2,3", "--jobs", "2") == one
+
+
+def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
+    # each function is wrapped with a counter wherever a module holds it,
+    # as the benchmark's tracer wraps it: 45 models, 225 distinct pairs,
+    # one closure per distinct pair and prime
+    counted = {compare.compare_pair: 0, frobenius.test_ideal_detailed: 0, toric.hj_resolve: 0}
+
+    def counter(fn):
+        def wrapper(*args, **kwargs):
+            counted[fn] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {fn: counter(fn) for fn in counted}
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.startswith("surfideals"):
+            for key, value in list(vars(mod).items()):
+                for fn, wrapper in wrappers.items():
+                    if value is fn:
+                        monkeypatch.setattr(mod, key, wrapper)
+    _stdout(capsys, "compare", "catalog", "--primes", "2,3")
+    assert list(counted.values()) == [225, 450, 45]
 
 
 ONE_OF_EACH = [

@@ -14,6 +14,7 @@ from surfideals.compare import (
     CatalogEntry,
     _classify,
     catalog_entries,
+    compare_catalog,
     compare_entry,
     compare_pair,
 )
@@ -30,6 +31,27 @@ def test_catalog_shape():
     assert len(models) == 45
     assert len(entries) == 45 * 10
     assert len({e.entry_id for e in entries}) == len(entries)
+
+
+def test_catalog_equals_the_per_entry_reference():
+    # one report per distinct (model, W), given under each entry's own id,
+    # is what compare_entry computes entry by entry
+    reference = [compare_entry(e, (2, 3)).to_dict() for e in catalog_entries()]
+    assert [rep.to_dict() for rep in compare_catalog((2, 3))] == reference
+
+
+def test_catalog_maps_once_over_its_distinct_pairs():
+    # the catalog's 450 entries are 225 distinct pairs: (X, 0) six times per model
+    batches = []
+
+    def recording_map(fn, pairs):
+        pairs = list(pairs)
+        batches.append(pairs)
+        return map(fn, pairs)
+
+    assert len(compare_catalog((2,), map=recording_map)) == 450
+    assert len(batches) == 1 and len(batches[0]) == 225
+    assert len({(p.model.r, p.model.a, p.w_left, p.w_right) for p in batches[0]}) == 225
 
 
 def test_smooth_pair_agrees_everywhere():
