@@ -6,16 +6,23 @@ exponent lists) and exits 0.  Domain errors produce a machine-readable
 error object and exit code 1; usage errors exit 2 without printing any
 partial result.  Models are addressed as ``cyclic:R/A``, as a path to a
 JSON model file, or (for ``compare``) the literal ``catalog``.
+
+Each command's arguments are specs in `COMMANDS`.  A line that names a
+command and spells every option in full, at most once, as ``--flag
+value`` (a value not starting with '-') or ``--flag=value``, is read
+straight from those specs (`_read_plain`); argparse is imported and
+built only for every other line, so it alone prints help, usage and
+usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Union
 
 from . import compare as compare_mod
 from . import frobenius, multiplier, resolution, toric
@@ -23,6 +30,9 @@ from .divisors import DivisorLabel, DivisorVector, rat
 from .errors import BadParameters, DomainError, InvalidModel, ModelFileError
 from .frobenius import CharPContext
 from .multiplier import PairSpec
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # -- serialization ----------------------------------------------------------
@@ -176,6 +186,8 @@ def load_model(address: str) -> Union[toric.ToricSurfaceModel, resolution.Resolu
         raise ModelFileError(f"{address}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except UnicodeDecodeError as exc:
         raise ModelFileError(f"{address}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+    except RecursionError:
+        raise ModelFileError(f"{address}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"{address}: top-level value must be an object")
     return _model_from_dict(doc, address)
@@ -201,6 +213,8 @@ def parse_coeff_map(text: str) -> dict[str, Fraction]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadParameters(f"bad divisor {text!r}: {exc.msg}") from None
+    except RecursionError:
+        raise BadParameters("bad divisor: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise BadParameters("divisor must be a JSON object of coefficients")
     return {str(k): _parse_rat(v, f"coefficient of {k}") for k, v in doc.items()}
@@ -357,10 +371,12 @@ def _jobs(text: str) -> int:
     try:
         jobs = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+        jobs = None
+    if jobs is not None and jobs >= 1:
+        return jobs
+    import argparse  # only a usage error needs it
+
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}" if jobs is None else f"must be at least 1, got {jobs}")
 
 
 MODEL = ("model", {"help": "cyclic:R/A or a JSON model file"})
@@ -368,6 +384,8 @@ PAIR = (MODEL, ("--z", {"default": "0", "help": "'0', 'boundary', or JSON ray ma
         ("--lambda", {"dest": "lam", "default": "1", "help": "rational scaling of Z"}))
 
 # name -> (help, handler, arguments); an argument is (name or flag, add_argument keywords).
+# `_read_plain` reads the keywords help, type, default, required and dest, as argparse
+# would for a positional or a one-value option whose default is not converted by its type.
 COMMANDS = {
     "resolve": ("Hirzebruch-Jung resolution of 1/r(1,a)", cmd_resolve,
                 (("--r", {"type": int, "required": True}), ("--a", {"type": int, "required": True}))),
@@ -401,7 +419,11 @@ def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.Argum
 
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every command, for top-level usage and help; `main`
-    builds it only when argv names no command."""
+    builds it only when argv names no command.  A line that names one is
+    read by `_read_plain`, or by that command's own parser when it is not
+    spelled plainly."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="surfideals",
         description="Exact multiplier and test ideals on cyclic quotient surface singularities.",
@@ -425,12 +447,65 @@ def _glue_negative_values(name: str, argv: list[str]) -> list[str]:
     return glued
 
 
+def _read_plain(name: str, argv: list[str]) -> Optional[SimpleNamespace]:
+    """The arguments of command `name` read straight from its specs in
+    COMMANDS, when `argv` is spelled plainly: the positionals in order, and
+    each option spelled in full, at most once, as `--flag value` (a value
+    not starting with '-') or `--flag=value`, its value taken by the spec's
+    `type`, every required option present.  The result holds what
+    argparse's namespace would.  Any other line, help included, gives None."""
+    specs = dict(COMMANDS[name][2])
+    positionals = [flag for flag in specs if flag[:1] != "-"]
+    values, given = {}, {}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok[:1] != "-":
+            if len(values) == len(positionals):
+                return None
+            values[positionals[len(values)]] = tok
+            continue
+        flag, eq, value = tok.partition("=")
+        if flag not in specs or flag in given:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-":
+                return None
+        given[flag] = value
+    if len(values) < len(positionals):
+        return None
+    for flag, keywords in specs.items():
+        if flag in positionals:
+            continue
+        dest = keywords.get("dest") or flag[2:].replace("-", "_")
+        if flag not in given:
+            if keywords.get("required"):
+                return None
+            values[dest] = keywords.get("default")
+        elif "type" in keywords:
+            try:
+                values[dest] = keywords["type"](given[flag])
+            except Exception:  # argparse runs the type again and reports or raises it
+                return None
+        else:
+            values[dest] = given[flag]
+    return SimpleNamespace(**values)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
+    """Run one command line.  A line that names a command and is spelled
+    plainly (`_read_plain`) is read without argparse; argparse reads every
+    other line, and it alone prints help, usage and usage errors (exit 2)."""
     argv = sys.argv[1:] if argv is None else argv
     if not argv or argv[0] not in COMMANDS:
         build_parser().parse_args(argv)  # usage, help or a usage error: it exits
     name = argv[0]
-    args = _add_arguments(argparse.ArgumentParser(prog="surfideals " + name), name).parse_args(_glue_negative_values(name, argv[1:]))
+    args = _read_plain(name, argv[1:])
+    if args is None:
+        import argparse
+
+        parser = _add_arguments(argparse.ArgumentParser(prog="surfideals " + name), name)
+        args = parser.parse_args(_glue_negative_values(name, argv[1:]))
     try:
         doc = COMMANDS[name][1](args)
     except DomainError as exc:

@@ -3,7 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,8 +110,9 @@ ONE_OF_EACH = [
 ]
 
 
-def test_a_named_command_builds_one_parser(capsys, monkeypatch):
-    # the full parser is eleven: the top level and ten subparsers
+def test_a_command_spelled_in_full_builds_no_parser(capsys, monkeypatch):
+    # argparse reads only a line outside the plain spelling: an abbreviation,
+    # a value after a space that starts with '-', or a line naming no command
     assert sorted(argv[0] for argv in ONE_OF_EACH) == sorted(COMMANDS)
     built = []
     init = argparse.ArgumentParser.__init__
@@ -116,12 +120,46 @@ def test_a_named_command_builds_one_parser(capsys, monkeypatch):
     for argv in ONE_OF_EACH:
         built.clear()
         code, _ = run_cli(capsys, *argv)
-        assert (code, len(built)) == (0, 1), argv
+        assert (code, len(built)) == (0, 0), argv
+    full = run_cli(capsys, "mult-ideal", "cyclic:5/2", "--z", "boundary", "--lambda", "1/2")
+    built.clear()
+    assert run_cli(capsys, "mult-ideal", "cyclic:5/2", "--z", "boundary", "--lam", "1/2") == full
+    assert len(built) == 1
+    built.clear()
+    error = {"error": {"type": "InvalidModel", "message": "the scaling factor must be >= 0"}}
+    assert run_cli(capsys, "mult-ideal", "cyclic:5/2", "--lambda", "-1/2") == (1, error)
+    assert len(built) == 1
     for argv in ([], ["nope"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+IMPORT_GUARD = """
+import contextlib, io, json, sys
+from surfideals.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["discrepancy", "cyclic:5/2"])
+loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    try:
+        main(["discrepancy", "-h"])
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([loaded, code, out.getvalue()]))
+"""
+
+
+def test_a_plain_line_loads_no_argparse(monkeypatch):
+    # a fresh interpreter: this one has imported argparse already
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal's width
+    src = str(Path(compare.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, check=True)
+    loaded, code, help_text = json.loads(done.stdout)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert (loaded, code, help_text) == ([], 0, subparsers.choices["discrepancy"].format_help())
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -420,6 +458,22 @@ def test_model_file_errors_have_context(capsys, tmp_path):
     assert code == 1
     assert doc["error"]["type"] == "ModelFileError"
     assert str(path) in doc["error"]["message"]
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("command,flag", [("mult-ideal", "--z"), ("pullback", "--d"), ("check-negativity", "--d")])
+def test_deeply_nested_divisor_is_bad_parameters(capsys, command, flag):
+    error = {"type": "BadParameters", "message": "bad divisor: JSON nested too deeply"}
+    assert run_cli(capsys, command, "cyclic:5/2", flag, DEEP_JSON) == (1, {"error": error})
+
+
+def test_deeply_nested_model_file_is_a_model_file_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    error = {"type": "ModelFileError", "message": f"{path}: JSON nested too deeply"}
+    assert run_cli(capsys, "discrepancy", str(path)) == (1, {"error": error})
 
 
 @pytest.mark.parametrize(

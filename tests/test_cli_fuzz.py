@@ -15,8 +15,14 @@ well-formed scan is drawn with at most eight candidates, and a malformed
 one keeps numbers below 13 on the small models its addresses name.
 Nine in ten well-formed lines name a cyclic model rather than a model
 file, and the test asserts a floor on the lines that exit 0.
+
+Lines drawn the same way check `cli._read_plain`, which reads a line
+spelled in full without argparse: on every line that names a command it
+either declines or gives exactly the namespace of an argparse parser
+built from `COMMANDS`.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -29,7 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfideals import errors
-from surfideals.cli import main
+from surfideals.cli import COMMANDS, _glue_negative_values, _read_plain, main
 
 DOMAIN_ERRORS = {
     name for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, errors.DomainError)
@@ -245,3 +251,60 @@ def test_every_command_line_gets_json_or_a_usage_error():
 
     check()
     assert codes[0] >= MIN_SUCCESSES, codes
+
+
+# Lines of `argvs()` that `_read_plain` reads rather than declines: the
+# count is fixed by derandomize=True, like MIN_SUCCESSES.
+MIN_READ_PLAIN = 400
+
+
+def argparse_namespace(argv):
+    """vars() of what argparse makes of `argv`, or None on a usage error or help."""
+    name = argv[0]
+    parser = argparse.ArgumentParser(prog=name)
+    for flag, keywords in COMMANDS[name][2]:
+        parser.add_argument(flag, **keywords)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(_glue_negative_values(name, argv[1:])))
+        except SystemExit:
+            return None
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    # argparse would convert a string default through `type`; the reader does not
+    assert not any("type" in kw and isinstance(kw.get("default"), str) for spec in COMMANDS.values() for _, kw in spec[2])
+    outcomes = Counter()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(argvs())
+    def check(case):
+        argv, _ = case
+        if not argv or argv[0] not in COMMANDS:
+            return
+        read = _read_plain(argv[0], argv[1:])
+        outcomes["read" if read is not None else "declined"] += 1
+        if read is not None:
+            assert vars(read) == argparse_namespace(argv), argv
+
+    check()
+    assert outcomes["read"] >= MIN_READ_PLAIN, outcomes
+
+
+# Shapes the drawn lines seldom or never take; the reader must agree here too.
+EDGE_LINES = [
+    ["resolve", "--r", "4"],  # a required option missing
+    ["discrepancy"], ["discrepancy", "cyclic:5/2", "cyclic:3/1"],  # a positional missing, one too many
+    ["mult-ideal", "cyclic:5/2", "--z", "0", "--z", "boundary"],  # an option given twice
+    ["mult-ideal", "--z", "boundary", "cyclic:5/2"],  # the positional after an option
+    ["mult-ideal", "cyclic:5/2", "--z="], ["mult-ideal", "cyclic:5/2", "--z", ""],
+    ["mult-ideal", "cyclic:5/2", "--lambda"], ["mult-ideal", "cyclic:5/2", "--", "--z", "0"],
+    ["mult-ideal", "cyclic:5/2", "-h"], ["resolve", "--r", "x", "--a", "1"],
+    ["compare", "catalog", "--jobs", "0"], ["compare", "catalog", "--jobs=-3"], ["compare", "catalog", "--jobs", "2"],
+]
+
+
+def test_the_plain_reader_agrees_with_argparse_on_edge_lines():
+    for argv in EDGE_LINES:
+        read = _read_plain(argv[0], argv[1:])
+        assert read is None or vars(read) == argparse_namespace(argv), argv
