@@ -20,7 +20,7 @@ ctx = CharPContext(p)
 tm = trace_maps(PairSpec(smooth, smooth.divisor({})), ctx, 1)[0]
 print(f"smooth chart, p = {p}: minimal depth-1 trace map has twist {tm.twist}")
 for u in [(p - 1, p - 1), (2 * p - 1, p - 1), (1, 0)]:
-    value = trace_value(smooth, p, tm, u)
+    value = trace_value(p, tm, u)
     print(f"  x^{u} -> " + (f"x^{value}" if value else "0"))
 print()
 

@@ -158,13 +158,9 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
                 label = DivisorLabel(str(x["label"]), x.get("kind", "strict-transform"))
             except ValueError as exc:
                 raise ModelFileError(f"{where}: extras[{k}]: {exc}") from None
-            extras.append(
-                resolution.Extra(
-                    label,
-                    tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"]),
-                    _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError),
-                )
-            )
+            if _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError) != 1:
+                raise ModelFileError(f"{where}: extras[{k}].pushforward must be 1 (a prime divisor maps onto its image)")
+            extras.append(resolution.Extra(label, tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"])))
         return resolution.ResolutionModel(tuple(curve_objs), tuple(tuple(row) for row in matrix), tuple(extras))
     raise ModelFileError(f"{where}: 'kind' must be 'cyclic' or 'dualgraph', got {kind!r}")
 

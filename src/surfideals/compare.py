@@ -128,16 +128,13 @@ def catalog_entries() -> tuple[CatalogEntry, ...]:
 def _classify(j: MonomialIdeal, tau: MonomialIdeal) -> str:
     """The verdict on J and tau, two ideals on one model.  A staircase is
     canonical (the minimal pairs, sorted), so equal staircases are equal
-    ideals and need no containment test."""
+    ideals, and two ideals that contain each other have equal staircases:
+    past the first test, at most one containment holds."""
     if j.stairs == tau.stairs:
         return EQUAL
-    tau_in_j = tau.issubset(j)
-    j_in_tau = j.issubset(tau)
-    if tau_in_j and j_in_tau:
-        return EQUAL
-    if tau_in_j:
+    if tau.issubset(j):
         return MULTIPLIER_LARGER
-    if j_in_tau:
+    if j.issubset(tau):
         return TEST_LARGER
     return INCOMPARABLE
 

@@ -79,10 +79,6 @@ class DivisorVector:
                 return c
         return Fraction(0)
 
-    def restrict(self, kinds: Iterable[str]) -> "DivisorVector":
-        ks = set(kinds)
-        return DivisorVector([(l, c) for l, c in self._items if l.kind in ks])
-
     def is_zero(self) -> bool:
         return not self._items
 

@@ -151,7 +151,7 @@ def trace_maps(pair: PairSpec, ctx: CharPContext, e: int) -> tuple[TraceMap, ...
     return tuple(TraceMap(e, c) for c in section_module_min_gens(pair.model, {LEFT: b_left, RIGHT: b_right}))
 
 
-def trace_value(model: ToricSurfaceModel, p: int, tm: TraceMap, u: Point):
+def trace_value(p: int, tm: TraceMap, u: Point):
     """phi_c applied to the single monomial x^u; None encodes 0."""
     pe = p**tm.e
     n0, n1 = u[0] + tm.twist[0], u[1] + tm.twist[1]

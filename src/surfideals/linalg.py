@@ -59,12 +59,6 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
     return (-1) ** swaps * rows[n - 1][n - 1]
 
 
-def leading_minors(matrix: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Determinants of the leading principal k x k submatrices, k=1..n."""
-    n = len(matrix)
-    return tuple(determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(n))
-
-
 def is_negative_definite(matrix: Sequence[Sequence[int]]) -> bool:
     """Sylvester test: leading minors alternate in sign starting negative.
     Read off one Bareiss pass: with no row swap, pivot k is the k-th

@@ -42,14 +42,12 @@ class ExceptionalCurve:
 class Extra:
     """A non-exceptional prime divisor seen through the resolution.
 
-    `meets` lists its intersection number with each exceptional curve;
-    `pushforward` is the coefficient of its image on X (1 for a prime
-    divisor mapped to itself).
+    `meets` lists its intersection number with each exceptional curve.
+    It maps birationally onto its image on X, so pi_* C = C_X.
     """
 
     label: DivisorLabel
     meets: tuple[int, ...]
-    pushforward: Fraction = Fraction(1)
 
     def __post_init__(self):
         if self.label.kind == "exceptional":

@@ -18,7 +18,8 @@ Monomials live in the dual lattice M = Z^2 with the standard pairing;
 ord_{D_v}(x^u) = <u, v>.  Ideals and section modules are stored as
 staircases in pairing coordinates (s, t) = (<u, v_left>, <u, v_right>),
 found by a 1-D scan over s (exact, no 2-D enumeration); exponent vectors
-u appear only in `gens` and `section_module_min_gens`.
+u enter through `from_points` and `contains_point` and leave through
+`gens`, `section_module_min_gens` and `m_limiting_relative_canonical`.
 """
 
 from __future__ import annotations
@@ -258,8 +259,8 @@ def section_module_min_gens(model: ToricSurfaceModel, bounds: Mapping[str, int])
     """
     if LEFT not in bounds or RIGHT not in bounds:
         raise InvalidModel("section bounds must constrain both boundary rays")
-    exc = [(name, model.ray(name), c) for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT))]
-    stairs = _section_min_gens_cached(model, int(bounds[LEFT]), int(bounds[RIGHT]), tuple(exc))
+    exc = tuple((model.ray(name), c) for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT)))
+    stairs = _section_min_gens_cached(model, int(bounds[LEFT]), int(bounds[RIGHT]), exc)
     return tuple(sorted(map(model.point, stairs)))
 
 
@@ -270,23 +271,22 @@ def corner_stairs(model: ToricSurfaceModel, s_min: int, t_min: int) -> tuple[Pai
 
 @lru_cache(maxsize=None)
 def _section_min_gens_cached(
-    model: ToricSurfaceModel, c_left: int, c_right: int, exc_bounds: tuple[tuple[str, Point, int], ...]
+    model: ToricSurfaceModel, c_left: int, c_right: int, exc_bounds: tuple[tuple[Point, int], ...]
 ) -> tuple[Pair, ...]:
     """Staircase of {u : s >= c_left, t >= c_right, <u, v> >= c for each
-    (name, v, c) of `exc_bounds`}, by a scan over s.
+    pair (v, c) of `exc_bounds`}, by a scan over s.
 
-    For an exceptional ray v = (A v_left + B v_right) / |det| (A, B > 0),
+    Each v is an exceptional ray v = (A v_left + B v_right) / |det|, and
+    A, B > 0 since every b_i >= 2 (proof and check in `test_toric`), so
     <u, v> >= c reads A s + B t >= c |det|.  Each s takes the largest of
     these lower bounds on t, rounded up into the lattice class
     t = s * v_right[1] (mod |det|) (as v_left = (0, 1)).
     """
     vr, sign, step = model.v_right, (1 if model.det > 0 else -1), abs(model.det)
     exc = []
-    for name, vec, c in exc_bounds:
+    for vec, c in exc_bounds:
         alpha = sign * (vec[0] * vr[1] - vec[1] * vr[0])
         beta = sign * (model.v_left[0] * vec[1] - model.v_left[1] * vec[0])
-        if alpha <= 0 or beta <= 0:
-            raise InvalidModel(f"ray {name!r} is not interior to the cone")
         exc.append((c * step, alpha, beta))
 
     # The scan stops at t = c_right, the least t (no later pair is minimal).
@@ -333,27 +333,19 @@ class MonomialIdeal:
             pairs.append(model.pairing(u))
         return cls(model, _minimal_stairs(pairs))
 
-    @classmethod
-    def unit(cls, model: ToricSurfaceModel) -> "MonomialIdeal":
-        return cls(model, ((0, 0),))
-
     def is_unit(self) -> bool:
         return self.stairs == ((0, 0),)
 
     def is_zero(self) -> bool:
         return not self.stairs
 
-    def contains_pair(self, s: int, t: int) -> bool:
-        """Whether the ideal holds every monomial with pairings >= (s, t)."""
-        return _stairs_contain(self.stairs, s, t)
-
     def contains_point(self, u: Point) -> bool:
-        return self.contains_pair(*self.model.pairing(u))
+        return _stairs_contain(self.stairs, *self.model.pairing(u))
 
     def issubset(self, other: "MonomialIdeal") -> bool:
         if self.model != other.model:
             raise InvalidModel("ideals live on different models")
-        return all(other.contains_pair(s, t) for s, t in self.stairs)
+        return all(_stairs_contain(other.stairs, s, t) for s, t in self.stairs)
 
     def sum(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.model != other.model:
@@ -380,7 +372,7 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
         raise NotIntegral("pushforward needs integer coefficients; round first")
     bounds = {label.name: -int(c) for label, c in d.items()}
     c_left, c_right = (max(0, bounds.pop(name, 0)) for name in (LEFT, RIGHT))
-    exc = tuple((name, model.ray(name), c) for name, c in bounds.items())
+    exc = tuple((model.ray(name), c) for name, c in bounds.items())
     return MonomialIdeal(model, _section_min_gens_cached(model, c_left, c_right, exc))
 
 

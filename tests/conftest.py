@@ -14,7 +14,14 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from surfideals.linalg import determinant
 from surfideals.toric import LEFT, RIGHT, ToricSurfaceModel, dot
+
+
+def leading_minors(matrix) -> tuple[int, ...]:
+    """Determinants of the leading principal k x k submatrices, k=1..n: the
+    Sylvester oracle for `is_negative_definite`, one determinant per minor."""
+    return tuple(determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix)))
 
 
 def _undivided(pairs: dict) -> list:

@@ -476,6 +476,22 @@ def test_deeply_nested_model_file_is_a_model_file_error(capsys, tmp_path):
     assert run_cli(capsys, "discrepancy", str(path)) == (1, {"error": error})
 
 
+@pytest.mark.parametrize("pushforward,loads", [("1", True), (1, True), ("2/2", True), (None, True), ("7/3", False), (0, False), ("-1", False)])
+def test_an_extra_pushes_forward_to_itself(capsys, tmp_path, pushforward, loads):
+    # a non-exceptional prime divisor maps onto its image, pi_* C = C_X: a
+    # pushforward other than 1 is refused, not ignored
+    extra = {"label": "C", "meets": [1, 0]} | ({} if pushforward is None else {"pushforward": pushforward})
+    curves = [{"label": "E1", "self_intersection": -2}, {"label": "E2", "self_intersection": -2}]
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"kind": "dualgraph", "curves": curves, "intersections": [[0, 1, 1]], "extras": [extra]}))
+    code, doc = run_cli(capsys, "pullback", str(path), "--d", '{"C": "1"}')
+    if loads:
+        assert (code, doc) == (0, {"pullback": {"C": "1", "E1": "2/3", "E2": "1/3"}})
+    else:
+        assert code == 1 and doc["error"]["type"] == "ModelFileError"
+        assert doc["error"]["message"].startswith(f"{path}: extras[0].pushforward must be 1")
+
+
 @pytest.mark.parametrize(
     "curve,extra",
     [

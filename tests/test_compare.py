@@ -1,9 +1,11 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import brute_ideal_points
 from surfideals import compare, frobenius
 from surfideals.compare import (
     EQUAL,
@@ -21,7 +23,7 @@ from surfideals.compare import (
 from surfideals.divisors import DivisorVector
 from surfideals.frobenius import CharPContext, boundary_containment_check
 from surfideals.multiplier import PairSpec, multiplier_ideal
-from surfideals.toric import RIGHT, MonomialIdeal, hj_resolve
+from surfideals.toric import RIGHT, MonomialIdeal, _minimal_stairs, corner_stairs, hj_resolve
 
 
 def test_catalog_shape():
@@ -124,6 +126,34 @@ def test_classify_every_verdict(j, tau, verdict):
     # no toric pair reaches the three strict verdicts (tau = J by theorem),
     # so they are tested on hand-built staircases
     assert _classify(MonomialIdeal(SMOOTH, j), MonomialIdeal(SMOOTH, tau)) == verdict
+
+
+def test_ideals_that_contain_each_other_have_equal_staircases():
+    # why _classify tests equality once: every staircase the code builds is
+    # canonical (_minimal_stairs of itself), so two ideals that contain each
+    # other have the same stairs
+    rng = random.Random(41)
+    mutual = 0
+    for model in (hj_resolve(1, 1), hj_resolve(2, 1), hj_resolve(5, 2), hj_resolve(7, 3), hj_resolve(12, 5)):
+        monoid = sorted(brute_ideal_points(model, [(0, 0)], box=6))
+        for _ in range(30):
+            g1 = rng.sample(monoid, rng.randint(1, 4))
+            g2 = g1 + [(u[0] + w[0], u[1] + w[1]) for u in g1 for w in rng.sample(monoid, 2)]
+            rng.shuffle(g2)
+            g3 = rng.sample(monoid, rng.randint(1, 4))
+            i1, i2, i3 = (MonomialIdeal.from_points(model, g) for g in (g1, g2, g3))
+            for a, b in ((i1, i2), (i1, i3), (i2, i3)):
+                if a.issubset(b) and b.issubset(a):
+                    assert a.stairs == b.stairs, (model, a.gens, b.gens)
+                    mutual += 1
+                for stairs in (a.stairs, a.sum(b).stairs, a.intersect(b).stairs, corner_stairs(model, *rng.choice(a.stairs))):
+                    assert _minimal_stairs(stairs) == stairs
+        for _ in range(6):
+            wl, wr = (Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(2))
+            for p in (2, 3, 5):
+                stairs = frobenius._closure(model, p, wl, wr, frobenius._seed(model, wl, wr)).ideal.stairs
+                assert _minimal_stairs(stairs) == stairs
+    assert mutual >= 150
 
 
 def test_strict_verdicts_are_reported(monkeypatch):

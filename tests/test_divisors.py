@@ -117,8 +117,3 @@ def test_greater_or_equal_is_the_reflected_partial_order():
     assert comparable[0] >= comparable[1] and not comparable[1] >= comparable[0]
     assert not incomparable[0] >= incomparable[1] and not incomparable[1] >= incomparable[0]
     assert dv((C, "1/2")) >= dv((C, "1/2"))
-
-
-def test_restrict_by_kind():
-    d = dv((E1, 1), (C, 2))
-    assert d.restrict(["exceptional"]) == dv((E1, 1))

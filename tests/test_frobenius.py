@@ -56,14 +56,14 @@ def test_calibration_identity_on_smooth_chart():
         assert len(maps) == 1
         tm = maps[0]
         assert tm.twist == (1 - p, 1 - p)
-        assert trace_value(SMOOTH, p, tm, (p - 1, p - 1)) == (0, 0)
-        assert trace_value(SMOOTH, p, tm, (1, 0)) is None
+        assert trace_value(p, tm, (p - 1, p - 1)) == (0, 0)
+        assert trace_value(p, tm, (1, 0)) is None
 
 
 def test_trace_on_unit_ideal_is_unit():
     ctx = CharPContext(2)
     tm = trace_maps(PairSpec(SMOOTH, DivisorVector.zero()), ctx, 1)[0]
-    assert trace_apply(SMOOTH, ctx, tm, MonomialIdeal.unit(SMOOTH)).is_unit()
+    assert trace_apply(SMOOTH, ctx, tm, MonomialIdeal(SMOOTH, ((0, 0),))).is_unit()
 
 
 def test_trace_image_of_a1_maximal_ideal():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from surfideals.linalg import SingularMatrix, determinant, is_negative_definite, leading_minors, solve
+from conftest import leading_minors
+from surfideals.linalg import SingularMatrix, determinant, is_negative_definite, solve
 
 
 def test_minor_examples():

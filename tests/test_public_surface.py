@@ -1,4 +1,6 @@
-"""Every name `surfideals` exports has a use beyond its own tests.
+"""Every name `surfideals` exports, and every function, method and class
+that `src/` defines, has a use beyond its own tests; every parameter is
+read in its function's body.
 
 A use is a read of the name, bare or as an attribute, in `src/` (a
 definition and the imports of `__init__` read nothing), in a demo or in
@@ -40,3 +42,26 @@ def test_every_export_has_a_use():
     used = _traced_names().union(*map(_read_names, sources))
     exported = {name for name in surfideals.__all__ if not inspect.ismodule(getattr(surfideals, name))}
     assert sorted(exported - used) == []
+
+
+def test_every_definition_and_parameter_has_a_reader():
+    # dunders are called by Python; self, cls and _-names need no reader
+    sources = [path for path in (ROOT / "src" / "surfideals").glob("*.py") if path.name != "__init__.py"]
+    readers = sources + list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    used = _traced_names().union(*map(_read_names, readers))
+    unread, unused_params = [], []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            where = f"{path.stem}.{node.name}"
+            if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used:
+                unread.append(where)
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg) if a]
+            body = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unused_params += [f"{where}({name})" for name in params
+                              if name not in ("self", "cls") and not name.startswith("_") and name not in body]
+    assert (unread, unused_params) == ([], [])
