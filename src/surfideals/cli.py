@@ -46,11 +46,24 @@ def ideal_doc(ideal: toric.MonomialIdeal) -> dict:
     return {"generators": [list(g) for g in ideal.gens], "is_unit": ideal.is_unit()}
 
 
+class _WrittenOnce:
+    """A JSON document that recurs in one output: `_write_json` writes it
+    as it writes `doc`, renders it once per nesting and reuses the text."""
+
+    __slots__ = ("doc", "texts")
+
+    def __init__(self, doc):
+        self.doc = doc
+        self.texts: dict[str, str] = {}
+
+
 def _write_json(value, indent: str, out: list[str]) -> None:
     """Append to `out` the text of `value` exactly as
     json.dumps(value, sort_keys=True, indent=2) writes it at the nesting
     `indent`.  Only str-keyed dicts, lists, str, int, bool and None are
-    JSON here: anything else, a float included, raises TypeError."""
+    JSON here, and a `_WrittenOnce` is written as its document: anything
+    else, a float included, raises TypeError.  The `_WrittenOnce` test
+    comes last, so no other value pays for it."""
     if value is None or value is True or value is False:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -81,6 +94,13 @@ def _write_json(value, indent: str, out: list[str]) -> None:
             _write_json(item, inner, out)
             sep = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif isinstance(value, _WrittenOnce):
+        text = value.texts.get(indent)
+        if text is None:
+            parts: list[str] = []
+            _write_json(value.doc, indent, parts)
+            text = value.texts[indent] = "".join(parts)
+        out.append(text)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -143,12 +163,16 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
         matrix = [[0] * n for _ in range(n)]
         for i, c in enumerate(curve_objs):
             matrix[i][i] = c.self_intersection
+        listed: dict[tuple[int, int], int] = {}  # each unordered pair {i, j} once
         for k, triple in enumerate(doc.get("intersections", [])):
             if not isinstance(triple, list) or len(triple) != 3:
                 raise ModelFileError(f"{where}: intersections[{k}] must be [i, j, value]")
             i, j, v = (_int(x, f"{where}: intersections[{k}][{m}]") for m, x in enumerate(triple))
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise ModelFileError(f"{where}: intersections[{k}] has bad curve indices")
+            first = listed.setdefault((min(i, j), max(i, j)), k)
+            if first != k:
+                raise ModelFileError(f"{where}: intersections[{k}] lists the curves {i} and {j} again (first in intersections[{first}])")
             matrix[i][j] = matrix[j][i] = v
         extras = []
         for k, x in enumerate(doc.get("extras", [])):
@@ -323,10 +347,18 @@ def cmd_compare(args) -> dict:
                 reports = compare_mod.compare_catalog(primes, map=pool.map)
         else:
             reports = compare_mod.compare_catalog(primes)
+        # reports with equal verdicts share one `primes` list, written once
+        written: dict = {}
+        docs = []
+        for rep in reports:
+            primes_doc = written.get(rep.verdicts)
+            if primes_doc is None:
+                primes_doc = written[rep.verdicts] = _WrittenOnce(rep.to_dict()["primes"])
+            docs.append(rep.to_dict(primes_doc))
         return {
             "catalog_size": len(reports),
             "primes": list(primes),
-            "reports": [rep.to_dict() for rep in reports],
+            "reports": docs,
             "all_equal": all(rep.all_equal() for rep in reports),
         }
     report = compare_mod.compare_pair(_pair_from_args(args, load_model(args.model)), primes=primes)

@@ -73,11 +73,14 @@ class ComparisonReport:
     def all_equal(self) -> bool:
         return all(v.verdict == EQUAL for v in self.verdicts)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, primes=None) -> dict:
+        """The report's JSON document; `primes`, when given, stands in for
+        the list of its verdicts (`compare catalog` passes one list to
+        every report with the same verdicts)."""
         return {
             "pair": self.pair_id,
             "multiplier_ideal": [list(g) for g in self.multiplier_gens],
-            "primes": [v.to_dict() for v in self.verdicts],
+            "primes": [v.to_dict() for v in self.verdicts] if primes is None else primes,
             "stable_from_prime": self.stable_from_prime,
         }
 
@@ -181,7 +184,9 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map)
     """The report of every catalog entry, in catalog order.
 
     Each model is resolved once and each entry's `PairSpec` validates it.
-    Entries with the same model and W share one `compare_pair` call, made
+    Entries with the same model and W, keyed by the integers r, a and the
+    numerators and denominators of w_left and w_right (a Fraction hashes
+    slowly), share one `compare_pair` call, made
     through `map` over the distinct pairs (`compare catalog --jobs N`
     passes a thread pool's), and each entry gets that report under its
     own id.
@@ -192,7 +197,8 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map)
     for e in entries:
         model = models[e.r, e.a]
         pair = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
-        keys.append((e.r, e.a, pair.w_left, pair.w_right))
+        wl, wr = pair.w_left, pair.w_right
+        keys.append((e.r, e.a, wl.numerator, wl.denominator, wr.numerator, wr.denominator))
         distinct.setdefault(keys[-1], pair)
     shared = dict(zip(distinct, map(lambda pair: compare_pair(pair, primes), distinct.values())))
     return [replace(shared[key], pair_id=e.entry_id) for e, key in zip(entries, keys)]

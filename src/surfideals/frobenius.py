@@ -65,6 +65,21 @@ a round finds no such corner, and so adds no stair.
     ascending chains of ideals in the noetherian ring k[S] stop, so the
     closure terminates.
 
+Run starts.  At depth e the corner of a stair (s, t) is
+((s + c_l) // q, (t + c_r) // q), with q = p^e and c_v = ceil((q - 1) w_v)
+(`_closure`).  Along Delta sorted by s, s rises and t falls, so the
+s-corner does not decrease and the t-corner does not increase.  Within a
+run of stairs with equal t-corner, the first stair therefore has the
+least s-corner and the same t-corner: its corner is at most every other
+corner of the run in both coordinates, so its corner module holds
+theirs, and the run starts alone have the minimal corners of all of
+Delta.  The run after the one with t-corner ct starts at the first stair
+with t + c_r < ct q, which a bisection on -t finds (`_run_corners`).  A
+round makes one pass over Delta to list -t, and each depth then costs
+O(runs log |Delta|), not |Delta|.  The values (q, c_l, c_r) at depths 1, 2, ... form the closure's twist
+table: a round extends it only past its deepest entry, and every round
+reads it.
+
 Corollary: tau(X, W) = O_X(-floor(W)), which is J(X, W) (`multiplier`),
 and the closure ends after at most two rounds.  At its stable depth a
 seed stair x >= ceil(w) has the corner floor(w) on each ray (the lemma;
@@ -77,6 +92,7 @@ floor(w) at every depth.  So the second round adds nothing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -221,26 +237,47 @@ def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> tuple[Pair, .
     return corner_stairs(model, math.ceil(wl), math.ceil(wr))
 
 
-def _depth_bound(wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
+def _depth_bound(nl: int, dl: int, nr: int, dr: int, stairs: tuple[Pair, ...]) -> int:
     """The largest |d (x + 1) - n| + d over the stair pairings x of the
     staircase `stairs` on each boundary ray, whose coefficient is
-    w_v = n/d.  The bound is convex in x, and x runs monotonically along
-    the staircase, so the first and last stairs attain it (module
-    docstring)."""
+    w_v = n/d (nl/dl on the left ray, nr/dr on the right).  The bound is
+    convex in x, and x runs monotonically along the staircase, so the
+    first and last stairs attain it (module docstring).  As s0 <= s1 and
+    t0 >= t1, the largest |d (x + 1) - n| + d over the two stairs is
+    d (x + 2) - n at the larger x or n - d x at the smaller."""
     (s0, t0), (s1, t1) = stairs[0], stairs[-1]
-    nl, dl, nr, dr = wl.numerator, wl.denominator, wr.numerator, wr.denominator
-    return max(max(abs(dl * (s0 + 1) - nl), abs(dl * (s1 + 1) - nl)) + dl,
-               max(abs(dr * (t0 + 1) - nr), abs(dr * (t1 + 1) - nr)) + dr)
+    return max(dl * (s1 + 2) - nl, nl - dl * s0, dr * (t0 + 2) - nr, nr - dr * t1)
 
 
-def _stable_depth(p: int, wl: Fraction, wr: Fraction, stairs: tuple[Pair, ...]) -> int:
+def _stable_depth(p: int, nl: int, dl: int, nr: int, dr: int, stairs: tuple[Pair, ...]) -> int:
     """E(I) of the stable-depth lemma: the least e >= 1 with p^e at least
-    the `_depth_bound` of the staircase `stairs` of I, sorted by s."""
-    bound = _depth_bound(wl, wr, stairs)
+    the `_depth_bound` of the staircase `stairs` of I, sorted by s, for
+    w_left = nl/dl and w_right = nr/dr."""
+    bound = _depth_bound(nl, dl, nr, dr, stairs)
     e, q = 1, p
     while q < bound:
         e, q = e + 1, q * p
     return e
+
+
+def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...]) -> list[Pair]:
+    """The corners ((s + c_l) // q, (t + c_r) // q) of the first stair of
+    each run of equal t-corner along the staircase `delta`, at every
+    (q, c_l, c_r) of `twists`.  Every other stair's corner lies above its
+    run's first one (run starts, module docstring), so these have the
+    same minimal corners as all of them.  The next run starts at the first
+    stair with t < ct q - c_r, a bisection on -t."""
+    neg_t = [-t for _, t in delta]
+    n = len(delta)
+    corners = []
+    for q, cl, cr in twists:
+        i = 0
+        while i < n:
+            s, t = delta[i]
+            ct = (t + cr) // q
+            corners.append(((s + cl) // q, ct))
+            i = bisect_right(neg_t, cr - ct * q, i + 1)
+    return corners
 
 
 @dataclass(frozen=True)
@@ -256,27 +293,35 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
     and Delta stays sorted by s, a filter of the grown staircase.  The
     corner of `_corner` at the twist bound b_v(e) of a stair pairing x is
     max(0, ceil((x + b_v(e)) / q)) = floor((x + ceil((q - 1) w_v)) / q),
-    as ceil(y / q) = floor((y + q - 1) / q) and x, w_v >= 0.
-    `depth_used` is the largest depth any round applied."""
+    as ceil(y / q) = floor((y + q - 1) / q) and x, w_v >= 0.  The twist
+    table holds (q, ceil((q - 1) w_left), ceil((q - 1) w_right)) at the
+    depths 1, 2, ..., and a round extends it only past its deepest entry.
+    A round sorts its run-start corners (`_run_corners`) once and walks
+    them: a corner is minimal when its t is below every earlier t, and
+    only a minimal corner is looked up in the staircase.
+    `depth_used`, the length of the twist table, is the largest depth
+    any round applied."""
     nl, dl, nr, dr = wl.numerator, wl.denominator, wr.numerator, wr.denominator
+    twists: list[tuple[int, int, int]] = []
     stairs = delta = seed
-    depth_used = 0
     while delta:
-        depth = _stable_depth(p, wl, wr, delta)
-        depth_used = max(depth_used, depth)
-        corners = []
-        q = 1
-        for _ in range(depth):
+        depth = _stable_depth(p, nl, dl, nr, dr, delta)
+        q = twists[-1][0] if twists else 1
+        for _ in range(len(twists), depth):
             q *= p
-            cl, cr = _ceildiv((q - 1) * nl, dl), _ceildiv((q - 1) * nr, dr)
-            corners += [((s + cl) // q, (t + cr) // q) for s, t in delta]
-        new = [c for c in _minimal_stairs(corners) if not _stairs_contain(stairs, *c)]
+            twists.append((q, _ceildiv((q - 1) * nl, dl), _ceildiv((q - 1) * nr, dr)))
+        new, best_t = [], math.inf
+        for s, t in sorted(_run_corners(twists[:depth], delta)):
+            if t < best_t:
+                best_t = t
+                if not _stairs_contain(stairs, s, t):
+                    new.append((s, t))
         if not new:
             break
         grown = _minimal_stairs(stairs + tuple(pair for c in new for pair in corner_stairs(model, *c)))
         old = set(stairs)
         stairs, delta = grown, tuple(pair for pair in grown if pair not in old)
-    return TestIdealResult(MonomialIdeal(model, stairs), depth_used)
+    return TestIdealResult(MonomialIdeal(model, stairs), len(twists))
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:

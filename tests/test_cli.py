@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfideals import compare, frobenius, linalg, multiplier, resolution, toric
-from surfideals.cli import COMMANDS, build_parser, emit, main
+from surfideals.cli import COMMANDS, _WrittenOnce, build_parser, emit, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -308,6 +310,25 @@ def test_scaleout_outputs_are_pinned(capsys, model, lam):
     assert hashlib.sha256(out.encode()).hexdigest() == SCALEOUT_SHA256[(model, lam)]
 
 
+# Many-stair seeds: the seed O_X(-ceil(W)) of `compare --z boundary` on
+# 1/r(1,2) has about r/2 stairs, and each closure round maps only the first
+# stair of each run of equal corners.  The sha256 of their stdout, as
+# computed when every round mapped every stair.
+MANY_STAIR_SHA256 = {
+    ("cyclic:100003/2", "1/2"): "753eaf333fc33c1ad26f1ed547321466b9df4e3eab72da123372d7479c3a591d",
+    ("cyclic:10007/2", "1/2"): "985d6037de8bab2f21f4e6baae10abebe7a19c691e1b671f730aaaf2049e4982",
+    ("cyclic:10007/2", "5/4"): "61884cb3d34442837b1582fe613a59dc442ba75ce7cac96110dbaaeb09e4029a",
+}
+
+
+@pytest.mark.parametrize("model,lam", sorted(MANY_STAIR_SHA256))
+def test_many_stair_outputs_are_pinned(capsys, model, lam):
+    code = main(["compare", model, "--z", "boundary", "--lambda", lam])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MANY_STAIR_SHA256[(model, lam)]
+
+
 # Commands on long chains (1/r(1,r-1) resolves to r - 1 curves, 1/1003(1,501)
 # to the chain [3, 2, ..., 2, 3]) with the sha256 of their stdout, as computed
 # with every exceptional bound scanned and K^num from the intersection matrix.
@@ -502,10 +523,14 @@ def test_an_extra_pushes_forward_to_itself(capsys, tmp_path, pushforward, loads)
         ({"label": "E1", "self_intersection": -2, "genus": 0.7}, None),
         ({"label": "E1", "self_intersection": -2}, {"label": "C", "meets": [1], "pushforward": True}),
         ({"label": "E1", "self_intersection": -2}, {"label": "C"}),
+        # a list of curves is a graph that lists the pair {0, 1} twice; the last listing used to win
+        ([{"label": "E1", "self_intersection": -2}, {"label": "E2", "self_intersection": -2}], None),
     ],
 )
 def test_malformed_dualgraph_fields_are_model_file_errors(capsys, tmp_path, curve, extra):
     model = {"kind": "dualgraph", "curves": [curve], "extras": [extra] if extra else []}
+    if isinstance(curve, list):
+        model.update(curves=curve, intersections=[[0, 1, 1], [1, 0, 0]])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(model))
     code, doc = run_cli(capsys, "discrepancy", str(path))
@@ -532,6 +557,8 @@ TWO_CURVES = dict(ONE_CURVE, curves=[{"label": "E1", "self_intersection": -2}, {
          "extra 'C' cannot be exceptional"),
         (dict(ONE_CURVE, extras=[{"label": "C", "meets": [-1]}]), "InvalidModel",
          "extra 'C' has negative intersection numbers"),
+        (dict(TWO_CURVES, intersections=[[0, 1, 1], [1, 0, 1]]), "ModelFileError",
+         "{path}: intersections[1] lists the curves 1 and 0 again (first in intersections[0])"),
     ],
 )
 def test_model_file_errors_are_typed(capsys, tmp_path, model, error, message):
@@ -711,11 +738,31 @@ def test_unknown_label_is_reported_before_effectiveness(capsys, tmp_path, z, lam
 
 
 json_text = st.one_of(st.text(), st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f ae\u00e9\u2028\u20ac\U0001f600'))
-json_docs = st.recursive(
-    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**80), 10**80), json_text),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
-    max_leaves=20,
-)
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**80), 10**80), json_text)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(json_text, inner, max_size=4)),
+        max_leaves=20,
+    )
+
+
+json_docs = _json_trees(json_scalars)
+SHARED = object()  # where a document of `docs_with_shared` holds its recurring list
+docs_with_shared = _json_trees(st.one_of(json_scalars, st.just(SHARED)))
+
+
+def _fill(doc, value):
+    """`doc` with `value` in place of every SHARED."""
+    if doc is SHARED:
+        return value
+    if isinstance(doc, list):
+        return [_fill(item, value) for item in doc]
+    if isinstance(doc, dict):
+        return {key: _fill(item, value) for key, item in doc.items()}
+    return doc
 
 
 def _emitted(doc) -> str:
@@ -726,9 +773,37 @@ def _emitted(doc) -> str:
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
-@given(json_docs)
-def test_emit_writes_what_json_dumps_writes(doc):
-    assert _emitted(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+@given(docs_with_shared, st.lists(json_docs, max_size=4))
+def test_emit_writes_what_json_dumps_writes(doc, shared):
+    # one written-once list stands wherever `doc` holds SHARED, and in a
+    # document that holds it twice at one nesting and once at another
+    once = _WrittenOnce(shared)
+    for tree in (doc, {"a": [SHARED, SHARED], "b": SHARED, "c": doc}):
+        assert _emitted(_fill(tree, once)) == json.dumps(_fill(tree, shared), sort_keys=True, indent=2) + "\n"
+
+
+def _catalog_docs(monkeypatch, reports):
+    """The document `compare catalog --primes 2,3` builds, and the one it
+    writes, when the catalog's reports are `reports`."""
+    monkeypatch.setattr(compare, "compare_catalog", lambda primes, map=map: reports)
+    doc = COMMANDS["compare"][1](SimpleNamespace(model="catalog", primes="2,3", jobs=1))
+    return doc, [rep.to_dict() for rep in reports]
+
+
+def test_catalog_writes_each_verdict_list_once(monkeypatch):
+    # reports with equal verdicts share one written-once `primes` list; on
+    # the catalog every verdict is `equal`, so one list serves all 450
+    real = compare.compare_catalog((2, 3))
+    differing = [replace(rep, verdicts=(compare.PrimeVerdict(2, compare.TEST_LARGER, ((0, 1),)),) + rep.verdicts[1:])
+                 if k % 3 == 0 else rep for k, rep in enumerate(real)]
+    for reports in (real, differing):
+        doc, plain = _catalog_docs(monkeypatch, reports)
+        lists = [report["primes"] for report in doc["reports"]]
+        assert all(isinstance(x, _WrittenOnce) for x in lists)
+        assert len({id(x) for x in lists}) == len(set(rep.verdicts for rep in reports)) == (1 if reports is real else 2)
+        for rep, x in zip(reports, lists):
+            assert x.doc == [v.to_dict() for v in rep.verdicts]
+        assert _emitted(doc) == json.dumps(dict(doc, reports=plain), sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("doc", [0.5, {"a": [1, 2.0]}, [{"b": float("nan")}], {1: "a"}, (1, 2)])

@@ -12,6 +12,7 @@ from surfideals.frobenius import (
     CharPContext,
     _closure,
     _depth_bound,
+    _run_corners,
     _seed,
     _stable_depth,
     _trace_image,
@@ -26,7 +27,7 @@ from surfideals.frobenius import (
     trace_value,
 )
 from surfideals.multiplier import PairSpec, multiplier_ideal
-from surfideals.toric import LEFT, RIGHT, MonomialIdeal, corner_stairs, hj_resolve
+from surfideals.toric import LEFT, RIGHT, MonomialIdeal, _minimal_stairs, corner_stairs, hj_resolve
 
 SMOOTH = hj_resolve(1, 1)
 A1 = hj_resolve(2, 1)
@@ -177,6 +178,12 @@ def test_seed_is_tau_for_integral_w():
                 assert tau(pair, CharPContext(p)) == MonomialIdeal(model, _seed(model, Fraction(wl), Fraction(wr))), (model, wl, wr, p)
 
 
+def _nd(wl, wr):
+    """The integers nl, dl, nr, dr of w_left = nl/dl and w_right = nr/dr,
+    as `_depth_bound` and `_stable_depth` take them."""
+    return wl.numerator, wl.denominator, wr.numerator, wr.denominator
+
+
 def test_stable_depth_lemma():
     # past E(I) = _stable_depth the depth-e image of I does not depend on e
     rng = random.Random(55)
@@ -187,7 +194,7 @@ def test_stable_depth_lemma():
         for p in primes:
             wl, wr = (Fraction(rng.randint(0, 36), rng.randint(1, 12)) for _ in range(2))
             ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
-            stable = _stable_depth(p, wl, wr, ideal.stairs)
+            stable = _stable_depth(p, *_nd(wl, wr), ideal.stairs)
 
             def image(e):
                 q = p**e
@@ -215,11 +222,36 @@ def test_depth_bound_reads_the_end_stairs():
             stairs = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 8))).stairs
             wl, wr = (Fraction(rng.randint(0, 200), rng.randint(1, 40)) for _ in range(2))
             bound = _all_stairs_bound(wl, wr, stairs)
-            assert _depth_bound(wl, wr, stairs) == bound, (model, stairs, wl, wr)
+            assert _depth_bound(*_nd(wl, wr), stairs) == bound, (model, stairs, wl, wr)
             p, e = rng.choice((2, 3, 5, 7, 31)), 1
             while p**e < bound:
                 e += 1
-            assert _stable_depth(p, wl, wr, stairs) == e, (model, stairs, wl, wr, p)
+            assert _stable_depth(p, *_nd(wl, wr), stairs) == e, (model, stairs, wl, wr, p)
+
+
+def test_run_start_corners_have_the_minimal_corners_of_every_stair():
+    # along a staircase the s-corner does not fall and the t-corner does not
+    # rise, so the first stair of each run of equal t-corner has the least
+    # corner of its run: at every depth 1..E the run starts give the minimal
+    # corners that mapping every stair gives (the comprehension below)
+    rng = random.Random(57)
+    models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 31) for a in range(1, r) if math.gcd(r, a) == 1]
+    primes = [p for p in range(2, 32) if is_prime(p)]
+    for model in models + [hj_resolve(10007, 2)]:
+        long = corner_stairs(model, rng.randint(0, 20), rng.randint(0, 20))
+        for _ in range(4 if model.r < 10007 else 40):
+            stairs = tuple(sorted(rng.sample(long, rng.randint(1, min(len(long), 60)))))
+            wl, wr = (Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(2))
+            p = rng.choice(primes)
+            twists = []
+            for e in range(1, _stable_depth(p, *_nd(wl, wr), stairs) + 1):
+                q = p**e
+                cl, cr = math.ceil((q - 1) * wl), math.ceil((q - 1) * wr)
+                twists.append((q, cl, cr))
+                every = _minimal_stairs(((s + cl) // q, (t + cr) // q) for s, t in stairs)
+                assert _minimal_stairs(_run_corners([(q, cl, cr)], stairs)) == every, (model, stairs, wl, wr, p, e)
+            every = _minimal_stairs(((s + cl) // q, (t + cr) // q) for q, cl, cr in twists for s, t in stairs)
+            assert _minimal_stairs(_run_corners(twists, stairs)) == every, (model, stairs, wl, wr, p)
 
 
 def test_adaptive_depth_reaches_the_fixed_point():
@@ -341,7 +373,7 @@ def test_floor_module_is_closed():
     for model, p, wl, wr in _random_pairs(84, 200, 1000):
         stairs = corner_stairs(model, math.floor(wl), math.floor(wr))
         module = MonomialIdeal(model, stairs)
-        for e in range(1, _stable_depth(p, wl, wr, stairs) + 1):
+        for e in range(1, _stable_depth(p, *_nd(wl, wr), stairs) + 1):
             q = p**e
             image = MonomialIdeal(model, _trace_image(model, q, _twist_bounds(q, wl, wr), stairs))
             assert image.issubset(module), (model, p, wl, wr, e)
