@@ -312,7 +312,7 @@ def test_scaleout_outputs_are_pinned(capsys, model, lam):
 
 # Many-stair seeds: the seed O_X(-ceil(W)) of `compare --z boundary` on
 # 1/r(1,2) has about r/2 stairs, and each closure round maps only the first
-# stair of each run of equal corners.  The sha256 of their stdout, as
+# stair of each run of equal t-corners.  The sha256 of their stdout, as
 # computed when every round mapped every stair.
 MANY_STAIR_SHA256 = {
     ("cyclic:100003/2", "1/2"): "753eaf333fc33c1ad26f1ed547321466b9df4e3eab72da123372d7479c3a591d",
@@ -783,8 +783,8 @@ def test_emit_writes_what_json_dumps_writes(doc, shared):
 
 
 def _catalog_docs(monkeypatch, reports):
-    """The document `compare catalog --primes 2,3` builds, and the one it
-    writes, when the catalog's reports are `reports`."""
+    """The document the `compare catalog --primes 2,3` handler builds when
+    the catalog's reports are `reports`, and those reports' own documents."""
     monkeypatch.setattr(compare, "compare_catalog", lambda primes, map=map: reports)
     doc = COMMANDS["compare"][1](SimpleNamespace(model="catalog", primes="2,3", jobs=1))
     return doc, [rep.to_dict() for rep in reports]

@@ -238,9 +238,9 @@ def test_run_start_corners_have_the_minimal_corners_of_every_stair():
     models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 31) for a in range(1, r) if math.gcd(r, a) == 1]
     primes = [p for p in range(2, 32) if is_prime(p)]
     for model in models + [hj_resolve(10007, 2)]:
-        long = corner_stairs(model, rng.randint(0, 20), rng.randint(0, 20))
+        staircase = corner_stairs(model, rng.randint(0, 20), rng.randint(0, 20))
         for _ in range(4 if model.r < 10007 else 40):
-            stairs = tuple(sorted(rng.sample(long, rng.randint(1, min(len(long), 60)))))
+            stairs = tuple(sorted(rng.sample(staircase, rng.randint(1, min(len(staircase), 60)))))
             wl, wr = (Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(2))
             p = rng.choice(primes)
             twists = []
