@@ -185,7 +185,17 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             if _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError) != 1:
                 raise ModelFileError(f"{where}: extras[{k}].pushforward must be 1 (a prime divisor maps onto its image)")
             extras.append(resolution.Extra(label, tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"])))
-        return resolution.ResolutionModel(tuple(curve_objs), tuple(tuple(row) for row in matrix), tuple(extras))
+        model = resolution.ResolutionModel(tuple(curve_objs), tuple(tuple(row) for row in matrix), tuple(extras))
+        # the exceptional set over one normal point is connected (Zariski's main theorem)
+        reached, todo = {0}, [0]
+        while todo:
+            row = matrix[todo.pop()]
+            todo += [j for j, m in enumerate(row) if m > 0 and j not in reached]
+            reached.update(todo)
+        if len(reached) < n:
+            k = next(k for k in range(n) if k not in reached)
+            raise ModelFileError(f"{where}: curves[{k}] ({curve_objs[k].label.name!r}) is not connected to curves[0] through the intersections; the dual graph must be connected")
+        return model
     raise ModelFileError(f"{where}: 'kind' must be 'cyclic' or 'dualgraph', got {kind!r}")
 
 

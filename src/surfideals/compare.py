@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .divisors import DivisorVector
 from .frobenius import CharPContext, test_ideal_detailed
@@ -50,8 +50,7 @@ TEST_LARGER = "test-strictly-larger"
 INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class PrimeVerdict:
+class PrimeVerdict(NamedTuple):
     p: int
     verdict: str
     test_gens: Optional[tuple[tuple[int, int], ...]] = None

@@ -7,7 +7,9 @@ this is the quotient presentation rewritten in the basis
 the fan refinement along the rays u_1=(1,0), u_{i+1} = b_i u_i - u_{i-1}
 where r/a = [[b_1,...,b_s]] is the negative-regular continued fraction;
 consecutive rays span unimodular cones and the dual graph is the chain
-of rational curves with self-intersections -b_i.
+of rational curves with self-intersections -b_i.  A model is its (r, a),
+always in this basis, with det(v_left, v_right) = -r; the smooth chart
+(1, 1) has v_right = (1, 0) and no exceptional ray.
 
 The orientation of the continued fraction is pinned by two
 convention-free identities checked in the test suite: 1/3(1,1) resolves
@@ -44,7 +46,7 @@ RIGHT = "BR"
 LEFT_LABEL = DivisorLabel(LEFT, "boundary")
 RIGHT_LABEL = DivisorLabel(RIGHT, "boundary")
 
-# Hard cap on the s values one section scan visits (at most |det| past
+# Hard cap on the s values one section scan visits (at most r past
 # its last binding constraint): only inputs far past desk scale reach it.
 ENUMERATION_LIMIT = 4_000_000
 
@@ -94,30 +96,33 @@ def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
-    """Resolved cyclic quotient 1/r(1,a), with r=1 for the smooth chart."""
+    """Resolved cyclic quotient 1/r(1,a), with (1, 1) the smooth chart: its fields are
+    r and a, so equality and cache keys read two ints; the rest is derived once."""
 
     r: int
     a: int
-    v_left: Point
-    v_right: Point
-    exceptional_rays: tuple[Point, ...]
-    hj: tuple[int, ...]
 
-    def __hash__(self) -> int:  # equal models have equal (r, a); the rays would cost O(chain) per cache lookup
-        return hash((self.r, self.a))
+    v_left = (0, 1)
+
+    @cached_property
+    def v_right(self) -> Point:
+        return (self.r, -(self.a % self.r))
+
+    @cached_property
+    def hj(self) -> tuple[int, ...]:
+        return negative_continued_fraction(self.r, self.a) if self.r > 1 else ()
 
     # -- labels and rays ---------------------------------------------------
 
     @cached_property
     def _ray_table(self) -> dict[str, tuple[DivisorLabel, Point]]:
-        """name -> (label, vector) of every ray, left boundary to right: the
-        exceptional labels are built once per model.  Not a field, so
-        equality, hashing and cache keys ignore it."""
-        table = {LEFT: (LEFT_LABEL, self.v_left)}
-        for i, vec in enumerate(self.exceptional_rays):
-            table[f"E{i+1}"] = (DivisorLabel(f"E{i+1}", "exceptional"), vec)
-        table[RIGHT] = (RIGHT_LABEL, self.v_right)
-        return table
+        """name -> (label, vector) of every ray, left to right: u_0 = v_left, u_1 = (1, 0),
+        u_{i+1} = b_i u_i - u_{i-1}, closing the cone at u_{s+1} = v_right (`test_toric`)."""
+        rays = [self.v_left, (1, 0)]
+        for b in self.hj:
+            rays.append((b * rays[-1][0] - rays[-2][0], b * rays[-1][1] - rays[-2][1]))
+        exceptional = (DivisorLabel(f"E{i}", "exceptional") for i in range(1, len(rays) - 1))
+        return {label.name: (label, vec) for label, vec in zip((LEFT_LABEL, *exceptional, RIGHT_LABEL), rays)}
 
     @property
     def boundary_labels(self) -> tuple[DivisorLabel, DivisorLabel]:
@@ -126,6 +131,10 @@ class ToricSurfaceModel:
     @property
     def exceptional_labels(self) -> tuple[DivisorLabel, ...]:
         return tuple(label for label, _ in self.rays()[1:-1])
+
+    @property
+    def exceptional_rays(self) -> tuple[Point, ...]:
+        return tuple(vec for _, vec in self.rays()[1:-1])
 
     def rays(self) -> tuple[tuple[DivisorLabel, Point], ...]:
         """All rays of the resolution fan, left boundary to right boundary."""
@@ -160,18 +169,14 @@ class ToricSurfaceModel:
     def boundary_divisor(self) -> DivisorVector:
         return DivisorVector([(LEFT_LABEL, 1), (RIGHT_LABEL, 1)])
 
-    @property
-    def det(self) -> int:
-        return self.v_left[0] * self.v_right[1] - self.v_left[1] * self.v_right[0]
-
     def pairing(self, u: Point) -> Pair:
-        """Pairing coordinates (s, t) of the monomial x^u."""
-        return (dot(u, self.v_left), dot(u, self.v_right))
+        """Pairing coordinates (s, t) = (u_1, <u, v_right>) of the monomial x^u."""
+        return (u[1], dot(u, self.v_right))
 
     def point(self, pair: Pair) -> Point:
-        """The lattice point u with pairing coordinates `pair`."""
-        (s, t), (l0, l1), (r0, r1) = pair, self.v_left, self.v_right
-        return ((s * r1 - t * l1) // self.det, (t * l0 - s * r0) // self.det)
+        """The lattice point u with pairing coordinates `pair`: u_0 = (t + a s) / r, u_1 = s."""
+        (s, t), (r, neg_a) = pair, self.v_right
+        return ((t - neg_a * s) // r, s)
 
     def in_monoid(self, u: Point) -> bool:
         return min(self.pairing(u)) >= 0
@@ -184,30 +189,19 @@ def hj_resolve(r: int, a: int) -> ToricSurfaceModel:
     """Minimal resolution of 1/r(1,a); (1,1) gives the smooth chart."""
     if not (isinstance(r, int) and isinstance(a, int)):
         raise BadParameters("r and a must be integers")
-    if r == 1:
-        if a != 1:
-            raise BadParameters("the smooth chart is addressed as (r, a) = (1, 1)")
-        return ToricSurfaceModel(1, 1, (0, 1), (1, 0), (), ())
-    if r < 1 or not (1 <= a < r) or math.gcd(r, a) != 1:
+    if r == 1 and a != 1:
+        raise BadParameters("the smooth chart is addressed as (r, a) = (1, 1)")
+    if r != 1 and (r < 1 or not (1 <= a < r) or math.gcd(r, a) != 1):
         raise BadParameters(f"need gcd(r, a) = 1 and 1 <= a < r, got r={r}, a={a}")
-    bs = negative_continued_fraction(r, a)
-    rays = [(0, 1), (1, 0)]
-    for b in bs:
-        prev, cur = rays[-2], rays[-1]
-        rays.append((b * cur[0] - prev[0], b * cur[1] - prev[1]))
-    if rays[-1] != (r, -a):
-        raise AssertionError("continued-fraction recursion left the cone open")
-    return ToricSurfaceModel(r, a, (0, 1), (r, -a), tuple(rays[1:-1]), bs)
+    return ToricSurfaceModel(r, a)
 
 
 def support_function(model: ToricSurfaceModel, c_left: Fraction, c_right: Fraction) -> tuple[Fraction, Fraction]:
-    """The linear functional ell in M_Q with <ell, v_left> = c_left and
-    <ell, v_right> = c_right.  Unique since the boundary rays are a basis
-    of N_Q; its denominators certify Q-Cartier indices."""
-    vl, vr = model.v_left, model.v_right
-    l0 = Fraction(c_left * vr[1] - c_right * vl[1]) / model.det
-    l1 = Fraction(vl[0] * c_right - vr[0] * c_left) / model.det
-    return (l0, l1)
+    """The linear functional ell = ((c_right + a c_left) / r, c_left) in M_Q, with
+    <ell, v_left> = c_left and <ell, v_right> = c_right.  Unique since the boundary
+    rays are a basis of N_Q; its denominators certify Q-Cartier indices."""
+    r, neg_a = model.v_right
+    return (Fraction(c_right - neg_a * c_left) / r, Fraction(c_left))
 
 
 def pullback_divisor(model: ToricSurfaceModel, z: DivisorVector) -> DivisorVector:
@@ -276,28 +270,24 @@ def _section_min_gens_cached(
     """Staircase of {u : s >= c_left, t >= c_right, <u, v> >= c for each
     pair (v, c) of `exc_bounds`}, by a scan over s.
 
-    Each v is an exceptional ray v = (A v_left + B v_right) / |det|, and
-    A, B > 0 since every b_i >= 2 (proof and check in `test_toric`), so
-    <u, v> >= c reads A s + B t >= c |det|.  Each s takes the largest of
-    these lower bounds on t, rounded up into the lattice class
-    t = s * v_right[1] (mod |det|) (as v_left = (0, 1)).
+    Each v = (v_0, v_1) is an exceptional ray v = (A v_left + B v_right) / r
+    with A = a v_0 + r v_1 and B = v_0 (a taken mod r), and A, B > 0 since
+    every b_i >= 2 (proof and check in `test_toric`), so <u, v> >= c reads
+    A s + B t >= c r.  Each s takes the largest of these lower bounds on t,
+    rounded up into the lattice class t = -a s (mod r).
     """
-    vr, sign, step = model.v_right, (1 if model.det > 0 else -1), abs(model.det)
-    exc = []
-    for vec, c in exc_bounds:
-        alpha = sign * (vec[0] * vr[1] - vec[1] * vr[0])
-        beta = sign * (model.v_left[0] * vec[1] - model.v_left[1] * vec[0])
-        exc.append((c * step, alpha, beta))
+    r, neg_a = model.v_right
+    exc = [(c * r, r * v1 - neg_a * v0, v0) for (v0, v1), c in exc_bounds]
 
     # The scan stops at t = c_right, the least t (no later pair is minimal).
     # t exceeds c_right while some exceptional bound does; after that
-    # s * v_right[1] runs through every class mod |det|: |det| steps at most.
+    # -a s runs through every class mod r: r steps at most.
     pairs = []
     for s in range(c_left, c_left + ENUMERATION_LIMIT):
         t = c_right
         for cs, alpha, beta in exc:
             t = max(t, _ceildiv(cs - alpha * s, beta))
-        t += (s * vr[1] - t) % step
+        t += (s * neg_a - t) % r
         pairs.append((s, t))
         if t == c_right:
             break

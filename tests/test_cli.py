@@ -559,6 +559,14 @@ TWO_CURVES = dict(ONE_CURVE, curves=[{"label": "E1", "self_intersection": -2}, {
          "extra 'C' has negative intersection numbers"),
         (dict(TWO_CURVES, intersections=[[0, 1, 1], [1, 0, 1]]), "ModelFileError",
          "{path}: intersections[1] lists the curves 1 and 0 again (first in intersections[0])"),
+        # the exceptional set over a normal point is connected; the first curve out of reach is named
+        (dict(TWO_CURVES, curves=[{"label": "E1", "self_intersection": -2}, {"label": "E2", "self_intersection": -3}]),
+         "ModelFileError", "{path}: curves[1] ('E2') is not connected to curves[0] through the intersections; "
+         "the dual graph must be connected"),
+        (dict(ONE_CURVE, curves=[{"label": f"E{i}", "self_intersection": -2} for i in range(1, 5)],
+              intersections=[[0, 1, 0], [3, 0, 1], [1, 2, 1]]),
+         "ModelFileError", "{path}: curves[1] ('E2') is not connected to curves[0] through the intersections; "
+         "the dual graph must be connected"),
     ],
 )
 def test_model_file_errors_are_typed(capsys, tmp_path, model, error, message):

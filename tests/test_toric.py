@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -80,9 +81,15 @@ def test_single_curve_cases():
 
 
 def test_fan_geometry_invariants():
-    for model in all_models():
+    """A model is its (r, a), and its ray recursion closes the cone at
+    v_right = (r, -(a mod r)) in unimodular steps."""
+    for model in all_models(60):
+        assert [field.name for field in dataclasses.fields(model)] == ["r", "a"]
+        twin = hj_resolve(model.r, model.a)
+        assert twin is not model and twin == model and hash(twin) == hash(model)
         rays = [vec for _, vec in model.rays()]
-        assert rays[0] == (0, 1) and rays[-1] == (model.r, -model.a if model.r > 1 else 0)
+        assert rays[0] == model.v_left == (0, 1)
+        assert rays[-1] == model.v_right == (model.r, -(model.a % model.r))
         for u, v in zip(rays, rays[1:]):
             assert u[0] * v[1] - u[1] * v[0] == -1  # consecutive rays unimodular
         for i in range(1, len(rays) - 1):
@@ -110,7 +117,7 @@ def test_exceptional_rays_pair_positively_with_both_boundary_rays():
     chains = [hj_resolve(1009, 1008), hj_resolve(10007, 2)]
     for model in [*all_models(60), *chains]:
         (l0, l1), (r0, r1) = model.v_left, model.v_right
-        sign = 1 if model.det > 0 else -1
+        sign = -1  # the sign of det(v_left, v_right) = -r
         for u0, u1 in model.exceptional_rays:
             assert sign * (u0 * r1 - u1 * r0) > 0 and sign * (l0 * u1 - l1 * u0) > 0, (model, (u0, u1))
 
