@@ -11,7 +11,6 @@ exact: rationals everywhere, no floating point.
 
 from .divisors import DivisorLabel, DivisorVector, floor_inequality_check, rat
 from .errors import (
-    AsymmetricMatrix,
     BadParameters,
     DomainError,
     EnumerationLimitExceeded,

@@ -160,9 +160,7 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             if not isinstance(doc.get(field, []), list):
                 raise ModelFileError(f"{where}: field {field!r} must be a list")
         n = len(curve_objs)
-        matrix = [[0] * n for _ in range(n)]
-        for i, c in enumerate(curve_objs):
-            matrix[i][i] = c.self_intersection
+        edges = []
         listed: dict[tuple[int, int], int] = {}  # each unordered pair {i, j} once
         for k, triple in enumerate(doc.get("intersections", [])):
             if not isinstance(triple, list) or len(triple) != 3:
@@ -173,7 +171,7 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             first = listed.setdefault((min(i, j), max(i, j)), k)
             if first != k:
                 raise ModelFileError(f"{where}: intersections[{k}] lists the curves {i} and {j} again (first in intersections[{first}])")
-            matrix[i][j] = matrix[j][i] = v
+            edges.append((i, j, v))
         extras = []
         for k, x in enumerate(doc.get("extras", [])):
             if not isinstance(x, dict) or "label" not in x or not isinstance(x.get("meets"), list):
@@ -185,12 +183,16 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             if _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError) != 1:
                 raise ModelFileError(f"{where}: extras[{k}].pushforward must be 1 (a prime divisor maps onto its image)")
             extras.append(resolution.Extra(label, tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"])))
-        model = resolution.ResolutionModel(tuple(curve_objs), tuple(tuple(row) for row in matrix), tuple(extras))
+        model = resolution.ResolutionModel(tuple(curve_objs), tuple(edges), tuple(extras))
         # the exceptional set over one normal point is connected (Zariski's main theorem)
+        adjacent: list[list[int]] = [[] for _ in range(n)]
+        for i, j, m in edges:
+            if m > 0:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
         reached, todo = {0}, [0]
         while todo:
-            row = matrix[todo.pop()]
-            todo += [j for j, m in enumerate(row) if m > 0 and j not in reached]
+            todo += [j for j in adjacent[todo.pop()] if j not in reached]
             reached.update(todo)
         if len(reached) < n:
             k = next(k for k in range(n) if k not in reached)

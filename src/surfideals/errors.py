@@ -9,10 +9,6 @@ class DomainError(Exception):
     """Base class for all expected mathematical/input failures."""
 
 
-class AsymmetricMatrix(DomainError):
-    pass
-
-
 class NotNegativeDefinite(DomainError):
     pass
 

@@ -14,8 +14,8 @@ through the support function ell_K of K_X = -(B_left + B_right)
 (`toric.support_function`), and K^num is -1 - <ell_K, v> on each ray v:
 zero on the boundary rays, the discrepancy on the exceptional ones.
 Every command on a cyclic model takes K^num, pullbacks and intersection
-numbers from the fan.  A dual graph has no fan: there K^num solves the
-intersection-matrix system (`resolution.relative_canonical`, used by
+numbers from the fan.  A dual graph has no fan: there K^num is solved
+for on the graph (`resolution.relative_canonical`, used by
 `numerical_multiplier_divisor`).
 
 Theorem: J(X, W) = O_X(-floor(W)) for W = w_left B_left + w_right B_right

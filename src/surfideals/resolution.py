@@ -1,10 +1,16 @@
 """Resolutions of normal surface singularities as intersection data.
 
 A `ResolutionModel` records the exceptional curves of a projective
-resolution pi: Y -> X of one normal surface point, their intersection
-matrix (negative definite by the classical contractibility criterion),
-and optional non-exceptional divisors ("extras": strict transforms or
-boundary components) through their intersection numbers with the E_i.
+resolution pi: Y -> X of one normal surface point, its dual graph (the
+curves' self-intersections and the edges (i, j, E_i . E_j), one per
+pair, as a model file lists them), and optional non-exceptional
+divisors ("extras": strict transforms or boundary components) through
+their intersection numbers with the E_i.  The intersection matrix is
+never stored: `linalg` eliminates the graph, leaves first, and its
+pivots decide negative definiteness (the classical contractibility
+criterion) by Sylvester's law of inertia.  The dual graph of a rational
+singularity is a tree (Artin, 1966), and there a solve is O(n) exact
+steps.
 
 On this data the module computes Mumford's numerical pullback, the
 numerical relative canonical divisor K_Y - pi*_num(K_X) whose
@@ -20,7 +26,7 @@ from typing import Mapping
 
 from . import linalg
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
-from .errors import AsymmetricMatrix, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
+from .errors import InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 
 
 @dataclass(frozen=True)
@@ -59,28 +65,28 @@ class Extra:
 @dataclass(frozen=True)
 class ResolutionModel:
     curves: tuple[ExceptionalCurve, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    edges: tuple[linalg.Edge, ...]
     extras: tuple[Extra, ...] = ()
 
     def __post_init__(self):
         n = len(self.curves)
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise InvalidModel("intersection matrix shape does not match curve list")
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != self.matrix[j][i]:
-                    raise AsymmetricMatrix(f"matrix entry ({i},{j}) != ({j},{i})")
-                if i != j and self.matrix[i][j] < 0:
-                    raise InvalidModel("off-diagonal intersection numbers must be >= 0")
-            if self.matrix[i][i] != self.curves[i].self_intersection:
-                raise InvalidModel(f"diagonal entry {i} disagrees with self-intersection")
+        pairs = set()
+        for i, j, m in self.edges:
+            if not (0 <= i < n and 0 <= j < n and i != j):
+                raise InvalidModel(f"edge ({i}, {j}) needs two distinct curve indices below {n}")
+            pair = (min(i, j), max(i, j))
+            if pair in pairs:
+                raise InvalidModel(f"edge ({i}, {j}) repeats a pair of curves")
+            pairs.add(pair)
+            if m < 0:
+                raise InvalidModel("off-diagonal intersection numbers must be >= 0")
         names = [c.label.name for c in self.curves] + [x.label.name for x in self.extras]
         if len(set(names)) != len(names):
             raise InvalidModel("divisor labels must be unique within a model")
         for x in self.extras:
             if len(x.meets) != n:
                 raise InvalidModel(f"extra {x.label.name!r} has {len(x.meets)} intersection numbers, expected {n}")
-        if not linalg.is_negative_definite(self.matrix):
+        if not linalg.is_negative_definite(self.diagonal, self.edges):
             raise NotNegativeDefinite("intersection matrix is not negative definite")
 
     # -- structure --------------------------------------------------------
@@ -88,6 +94,10 @@ class ResolutionModel:
     @property
     def labels(self) -> tuple[DivisorLabel, ...]:
         return tuple(c.label for c in self.curves)
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(c.self_intersection for c in self.curves)
 
     def extra_by_name(self, name: str) -> Extra:
         for x in self.extras:
@@ -101,18 +111,21 @@ class ResolutionModel:
 
     def intersect_with_curves(self, d: DivisorVector) -> tuple[Fraction, ...]:
         """The vector (D . E_j)_j for a divisor supported on model labels."""
+        index = {label: i for i, label in enumerate(self.labels)}
+        a = [0] * len(self.curves)
         dots = [Fraction(0)] * len(self.curves)
-        rows = dict(zip(self.labels, self.matrix))
         for label, c in d.items():
             if label.kind != "exceptional":
-                row = self.extra_by_name(label.name).meets
-            elif label in rows:
-                row = rows[label]
+                for j, m in enumerate(self.extra_by_name(label.name).meets):
+                    dots[j] += c * m
+            elif label in index:
+                a[index[label]] = c
             else:
                 raise InvalidModel(f"unknown exceptional label {label.name!r}")
-            for j, m in enumerate(row):
-                dots[j] += c * m
-        return tuple(dots)
+        for i, j, m in self.edges:
+            dots[i] += a[j] * m
+            dots[j] += a[i] * m
+        return tuple(dot + ai * e for dot, ai, e in zip(dots, a, self.diagonal))
 
 
 def relative_canonical(model: ResolutionModel) -> DivisorVector:
@@ -122,7 +135,7 @@ def relative_canonical(model: ResolutionModel) -> DivisorVector:
     exceptional a with (K_Y - sum a_i E_i) . E_j = 0 for every j.
     """
     k_dots = [Fraction(v) for v in model.canonical_intersections()]
-    a = linalg.solve(model.matrix, k_dots)
+    a = linalg.solve(model.diagonal, model.edges, k_dots)
     return DivisorVector(zip(model.labels, a))
 
 
@@ -139,7 +152,7 @@ def numerical_pullback(model: ResolutionModel, coeffs: Mapping[str, RatLike]) ->
     """
     strict = DivisorVector([(model.extra_by_name(n).label, rat(c)) for n, c in coeffs.items()])
     dots = model.intersect_with_curves(strict)
-    a = linalg.solve(model.matrix, [-d for d in dots])
+    a = linalg.solve(model.diagonal, model.edges, [-d for d in dots])
     return strict + DivisorVector(zip(model.labels, a))
 
 
@@ -176,6 +189,6 @@ def pair_inequality_check(model: ResolutionModel, gamma: Mapping[str, RatLike]) 
     strict = DivisorVector([(model.extra_by_name(n).label, c) for n, c in g.items()])
     g_dots = model.intersect_with_curves(strict)
     # pullback of K_X + Gamma has exceptional part a with M a = -(K+Gamma).E
-    a = linalg.solve(model.matrix, [-(kd + gd) for kd, gd in zip(k_dots, g_dots)])
+    a = linalg.solve(model.diagonal, model.edges, [-(kd + gd) for kd, gd in zip(k_dots, g_dots)])
     lhs = DivisorVector(zip(model.labels, (-ai for ai in a)))
     return lhs <= relative_canonical(model)

@@ -96,13 +96,23 @@ def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ToricSurfaceModel:
-    """Resolved cyclic quotient 1/r(1,a), with (1, 1) the smooth chart: its fields are
-    r and a, so equality and cache keys read two ints; the rest is derived once."""
+    """Resolved cyclic quotient 1/r(1,a), with (1, 1) the smooth chart; any other
+    (r, a) is refused at construction.  Its fields are r and a, so equality and
+    cache keys read two ints; the rest is derived once."""
 
     r: int
     a: int
 
     v_left = (0, 1)
+
+    def __post_init__(self):
+        r, a = self.r, self.a
+        if not (isinstance(r, int) and isinstance(a, int)):
+            raise BadParameters("r and a must be integers")
+        if r == 1 and a != 1:
+            raise BadParameters("the smooth chart is addressed as (r, a) = (1, 1)")
+        if r != 1 and (r < 1 or not (1 <= a < r) or math.gcd(r, a) != 1):
+            raise BadParameters(f"need gcd(r, a) = 1 and 1 <= a < r, got r={r}, a={a}")
 
     @cached_property
     def v_right(self) -> Point:
@@ -187,12 +197,6 @@ class ToricSurfaceModel:
 
 def hj_resolve(r: int, a: int) -> ToricSurfaceModel:
     """Minimal resolution of 1/r(1,a); (1,1) gives the smooth chart."""
-    if not (isinstance(r, int) and isinstance(a, int)):
-        raise BadParameters("r and a must be integers")
-    if r == 1 and a != 1:
-        raise BadParameters("the smooth chart is addressed as (r, a) = (1, 1)")
-    if r != 1 and (r < 1 or not (1 <= a < r) or math.gcd(r, a) != 1):
-        raise BadParameters(f"need gcd(r, a) = 1 and 1 <= a < r, got r={r}, a={a}")
     return ToricSurfaceModel(r, a)
 
 
@@ -226,18 +230,13 @@ def cartier_index(model: ToricSurfaceModel) -> int:
 def to_resolution(model: ToricSurfaceModel) -> ResolutionModel:
     """Intersection-theoretic shadow: the chain of -b_i rational curves,
     with both boundary divisors as extras meeting the ends of the chain."""
-    s = len(model.exceptional_rays)
-    curves = tuple(
-        ExceptionalCurve(label, -b, 0) for label, b in zip(model.exceptional_labels, model.hj)
-    )
-    matrix = tuple(
-        tuple(-model.hj[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(s))
-        for i in range(s)
-    )
+    s = len(model.hj)
+    curves = tuple(ExceptionalCurve(label, -b, 0) for label, b in zip(model.exceptional_labels, model.hj))
+    edges = tuple((i, i + 1, 1) for i in range(s - 1))
     left_meets = tuple(1 if i == 0 else 0 for i in range(s))
     right_meets = tuple(1 if i == s - 1 else 0 for i in range(s))
     extras = (Extra(LEFT_LABEL, left_meets), Extra(RIGHT_LABEL, right_meets))
-    return ResolutionModel(curves, matrix, extras)
+    return ResolutionModel(curves, edges, extras)
 
 
 # -- minimal generators of section modules --------------------------------

@@ -5,7 +5,10 @@ sweep in pairing coordinates; the oracle here rakes a raw box of lattice
 points and keeps the points that no other point of the box divides, so
 the two only share the problem statement.  The test-ideal oracle closes a
 box of monoid points under the twisted trace maps themselves, with no
-corner formula and no stable-depth bound.
+corner formula and no stable-depth bound.  The determinant oracle is
+dense Gaussian elimination over Fractions with row swaps, where the
+production solver eliminates a sparse graph in its own order and never
+forms a determinant.
 """
 
 from __future__ import annotations
@@ -14,8 +17,38 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from surfideals.linalg import determinant
 from surfideals.toric import LEFT, RIGHT, ToricSurfaceModel, dot
+
+
+def dense(diag, edges) -> list[list[int]]:
+    """The symmetric matrix of a graph: `diag` on the diagonal and m at
+    (i, j) and (j, i) for each edge (i, j, m)."""
+    matrix = [[0] * len(diag) for _ in diag]
+    for i, d in enumerate(diag):
+        matrix[i][i] = d
+    for i, j, m in edges:
+        matrix[i][j] = matrix[j][i] = m
+    return matrix
+
+
+def determinant(matrix) -> int:
+    """Exact determinant of a square integer matrix: Gaussian elimination
+    over Fractions, swapping in a later row (and flipping the sign) at a
+    zero pivot, and 0 when a column has no pivot left."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    det = Fraction(1)
+    for k in range(len(rows)):
+        pivot = next((i for i in range(k, len(rows)) if rows[i][k] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            det = -det
+        det *= rows[k][k]
+        for i in range(k + 1, len(rows)):
+            f = rows[i][k] / rows[k][k]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return int(det)
 
 
 def leading_minors(matrix) -> tuple[int, ...]:

@@ -119,9 +119,7 @@ def test_criterion_3_discrepancy_oracles():
         ok = False
         notes.append("1/3(1,1)")
     for d in range(1, 6):
-        cone = ResolutionModel(
-            (ExceptionalCurve(DivisorLabel("E"), -d, genus=1),), ((-d,),)
-        )
+        cone = ResolutionModel((ExceptionalCurve(DivisorLabel("E"), -d, genus=1),), ())
         if discrepancies(cone) != {"E": Fraction(-1)}:
             ok = False
             notes.append(f"elliptic cone d={d}")
@@ -163,12 +161,11 @@ def _random_negative_definite(rng: random.Random) -> ResolutionModel:
         for j in range(i + 1, n):
             off[i][j] = off[j][i] = rng.choice((0, 0, 0, 1, 1, 2))
     curves = []
-    matrix = []
     for i in range(n):
         diag = -(sum(off[i]) + rng.randint(1, 4))
         curves.append(ExceptionalCurve(DivisorLabel(f"E{i+1}"), diag, rng.choice((0, 0, 1))))
-        matrix.append(tuple(diag if i == j else off[i][j] for j in range(n)))
-    return ResolutionModel(tuple(curves), tuple(matrix))
+    edges = tuple((i, j, off[i][j]) for i in range(n) for j in range(i + 1, n) if off[i][j])
+    return ResolutionModel(tuple(curves), edges)
 
 
 def test_criterion_5_negativity_lemma_fuzz():
@@ -178,7 +175,7 @@ def test_criterion_5_negativity_lemma_fuzz():
     for _ in range(trials):
         model = _random_negative_definite(rng)
         goal = [Fraction(rng.randint(0, 15), rng.randint(1, 8)) for _ in model.curves]
-        coeffs = solve(model.matrix, goal)
+        coeffs = solve(model.diagonal, model.edges, goal)
         d = DivisorVector(zip(model.labels, coeffs))
         if negativity_check(model, d) and all(c <= 0 for c in coeffs):
             good += 1

@@ -3,10 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense, leading_minors
+from test_linalg import _naive_gauss
 from surfideals import compare, frobenius, linalg, multiplier, resolution, toric
 from surfideals.cli import COMMANDS, _WrittenOnce, build_parser, emit, main
 from surfideals.divisors import DivisorLabel
@@ -688,6 +692,116 @@ def test_mult_ideal_loads_its_model_once(capsys, monkeypatch, tmp_path, kind):
     code, doc = run_cli(capsys, "mult-ideal", address, "--z", "boundary", "--lambda", "1/2")
     assert code == 0 and doc["ideal"]["is_unit"]
     assert calls == [(12, 7)]
+
+
+def _dualgraph(selfs, edges, extras=()):
+    """A dual-graph model file: curves E1, E2, ... of the given
+    self-intersections, `edges` as (i, j, m), and extras (label, kind, meets)."""
+    return {
+        "kind": "dualgraph",
+        "curves": [{"label": f"E{i}", "self_intersection": s} for i, s in enumerate(selfs, start=1)],
+        "intersections": [list(e) for e in edges],
+        "extras": [{"label": label, "kind": kind, "meets": list(meets)} for label, kind, meets in extras],
+    }
+
+
+def _stdout(capsys, *argv) -> tuple[int, str]:
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_cyclic_models_as_dual_graph_files_print_the_same_bytes(capsys, tmp_path):
+    # a cyclic model written as its chain of -b_i curves, with the boundary
+    # divisors as extras meeting the ends, goes through the graph solve; the
+    # fan reads K^num and pullbacks off the support function instead
+    path = str(tmp_path / "chain.json")
+    models = [hj_resolve(r, a) for r in range(2, 41) for a in range(1, r) if math.gcd(r, a) == 1]
+    for model in models:
+        s = len(model.hj)
+        ends = [("BL", "boundary", [int(i == 0) for i in range(s)]), ("BR", "boundary", [int(i == s - 1) for i in range(s)])]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(_dualgraph([-b for b in model.hj], [(i, i + 1, 1) for i in range(s - 1)], ends), fh)
+        for tail in (("discrepancy",), ("pullback", "--d", '{"BL": "7/3", "BR": "5/2"}'),
+                     ("check-negativity", "--d", '{"E1": "-1", "BR": "-1"}')):
+            expected = _stdout(capsys, tail[0], str(model), *tail[1:])
+            assert expected[0] == 0
+            assert _stdout(capsys, tail[0], path, *tail[1:]) == expected, (model, tail)
+    assert len(models) == 489
+
+
+def _ade(name: str, n: int) -> list[tuple[int, int, int]]:
+    """The edges of the Dynkin diagram A_n, D_n or E_n: a chain of n - 1
+    curves, and for D and E one more curve on the second or third."""
+    if name == "A":
+        return [(i, i + 1, 1) for i in range(n - 1)]
+    return [(i, i + 1, 1) for i in range(n - 2)] + [({"D": 1, "E": 2}[name], n - 1, 1)]
+
+
+@pytest.mark.parametrize("name,n", [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)] + [("E", n) for n in (6, 7, 8)])
+def test_ade_graphs_of_minus_two_curves_are_crepant(capsys, tmp_path, name, n):
+    # the minimal resolution of a rational double point is crepant: every
+    # discrepancy is 0
+    path = tmp_path / f"{name}{n}.json"
+    path.write_text(json.dumps(_dualgraph([-2] * n, _ade(name, n))))
+    code, doc = run_cli(capsys, "discrepancy", str(path))
+    assert code == 0
+    assert doc == {"relative_canonical": {}, "discrepancies": {f"E{i}": "0" for i in range(1, n + 1)}}
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_a_cycle_of_curves_goes_through_fill_edges(capsys, tmp_path, n):
+    # a cycle of -3 curves (a cusp) solves through the elimination's fill
+    # edges, as the dense oracle does; a cycle of -2 curves (the affine
+    # A~_{n-1} graph) is only semidefinite and is refused
+    cycle = [(i, (i + 1) % n, 1) for i in range(n)]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_dualgraph([-3] * n, cycle, [("C", "strict-transform", [1] + [0] * (n - 1))])))
+    matrix = dense([-3] * n, cycle)
+    assert all(d != 0 and (d < 0) == (k % 2 == 0) for k, d in enumerate(leading_minors(matrix)))
+    pullback = _naive_gauss(matrix, [Fraction(-1)] + [Fraction(0)] * (n - 1))
+    code, doc = run_cli(capsys, "pullback", str(path), "--d", '{"C": "1"}')
+    assert (code, doc) == (0, {"pullback": {"C": "1"} | {f"E{i + 1}": str(a) for i, a in enumerate(pullback)}})
+    code, doc = run_cli(capsys, "discrepancy", str(path))
+    assert code == 0 and doc["discrepancies"] == {f"E{i}": "-1" for i in range(1, n + 1)}
+    path.write_text(json.dumps(_dualgraph([-2] * n, cycle)))
+    error = {"type": "NotNegativeDefinite", "message": "intersection matrix is not negative definite"}
+    assert run_cli(capsys, "discrepancy", str(path)) == (1, {"error": error})
+
+
+def _star_tree(arms: int = 9, length: int = 111) -> dict:
+    """A star-shaped tree of 1 + arms * length curves: E1 (self-intersection
+    -10) meets the first curve of each arm, a chain of `length` curves of
+    self-intersection -2, save -3 at every 37th and at the tip; odd arms list
+    their edges backwards.  Extra C meets the tip of the first arm, D meets E1."""
+    selfs, edges = [-10], []
+    for arm in range(arms):
+        first = 1 + arm * length
+        for k in range(length):
+            selfs.append(-3 if k % 37 == 36 or k == length - 1 else -2)
+            prev = 0 if k == 0 else first + k - 1
+            edges.append((first + k, prev, 1) if arm % 2 else (prev, first + k, 1))
+    n = len(selfs)
+    return _dualgraph(selfs, edges, [("C", "strict-transform", [int(i == length) for i in range(n)]),
+                                     ("D", "strict-transform", [int(i == 0) for i in range(n)])])
+
+
+# Commands on the 1,000-curve star tree of `_star_tree`, with the sha256 of
+# their stdout, as computed by dense Bareiss elimination on its 1000 x 1000
+# intersection matrix (80 s and 122 s; the graph elimination takes well
+# under a second).
+STAR_TREE_SHA256 = {
+    ("discrepancy",): "069071966ff098cd5a70540b2c8884a0ed79d4266ab8f8fc2c8c9f3dbb9429af",
+    ("mult-ideal", "--z", '{"C": "3/2", "D": "1/3"}', "--lambda", "1/2"): "ac6a74f4af9fc132e3e4f9ff601438f8fd851e36494665795cf8ac9ecf036975",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STAR_TREE_SHA256))
+def test_star_tree_outputs_are_pinned(capsys, tmp_path, argv):
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(_star_tree()))
+    code, out = _stdout(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STAR_TREE_SHA256[argv]
 
 
 def test_discrepancy_solves_one_linear_system(capsys, monkeypatch, tmp_path):

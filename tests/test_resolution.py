@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import dense
 from surfideals.divisors import DivisorLabel, DivisorVector
-from surfideals.errors import AsymmetricMatrix, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
+from surfideals.errors import InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 from surfideals.resolution import (
     ExceptionalCurve,
     Extra,
@@ -21,33 +22,40 @@ C = DivisorLabel("C", "strict-transform")
 
 
 def single_curve_model(self_int, genus=0, meets=(1,)):
-    return ResolutionModel(
-        (ExceptionalCurve(E, self_int, genus),),
-        ((self_int,),),
-        (Extra(C, meets),),
-    )
+    return ResolutionModel((ExceptionalCurve(E, self_int, genus),), (), (Extra(C, meets),))
 
 
 def chain_model(*self_ints):
-    n = len(self_ints)
     curves = tuple(ExceptionalCurve(DivisorLabel(f"E{i+1}"), s) for i, s in enumerate(self_ints))
-    matrix = tuple(
-        tuple(self_ints[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(n))
-        for i in range(n)
-    )
-    return ResolutionModel(curves, matrix)
+    return ResolutionModel(curves, tuple((i, i + 1, 1) for i in range(len(self_ints) - 1)))
+
+
+TWO = (ExceptionalCurve(DivisorLabel("E1"), -2), ExceptionalCurve(DivisorLabel("E2"), -2))
+
+
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        (((0, 0, 1),), "edge (0, 0) needs two distinct curve indices below 2"),
+        (((0, 2, 1),), "edge (0, 2) needs two distinct curve indices below 2"),
+        (((-1, 1, 1),), "edge (-1, 1) needs two distinct curve indices below 2"),
+        (((0, 1, 1), (1, 0, 1)), "edge (1, 0) repeats a pair of curves"),
+        (((0, 1, -1),), "off-diagonal intersection numbers must be >= 0"),
+    ],
+)
+def test_validation_rejects_bad_edges(edges, message):
+    # a model file's indices are checked by the CLI first; direct construction
+    # is checked here, so no edge can index past the curve list
+    with pytest.raises(InvalidModel) as exc:
+        ResolutionModel(TWO, edges)
+    assert str(exc.value) == message
 
 
 def test_validation_rejects_bad_matrices():
-    with pytest.raises(AsymmetricMatrix):
-        ResolutionModel(
-            (ExceptionalCurve(DivisorLabel("E1"), -2), ExceptionalCurve(DivisorLabel("E2"), -2)),
-            ((-2, 1), (0, -2)),
-        )
     with pytest.raises(NotNegativeDefinite):
         ResolutionModel(
             (ExceptionalCurve(DivisorLabel("E1"), -1), ExceptionalCurve(DivisorLabel("E2"), -1)),
-            ((-1, 2), (2, -1)),
+            ((0, 1, 2),),
         )
     with pytest.raises(InvalidModel):
         ExceptionalCurve(DivisorLabel("E1"), 0)
@@ -92,7 +100,7 @@ def test_numerical_pullback_one_third_example():
 
 def test_numerical_pullback_is_linear():
     model = chain_model(-2, -3)
-    bigger = ResolutionModel(model.curves, model.matrix, (Extra(C, (1, 2)),))
+    bigger = ResolutionModel(model.curves, model.edges, (Extra(C, (1, 2)),))
     one = numerical_pullback(bigger, {"C": 1})
     for t in (Fraction(3), Fraction(-5, 7)):
         assert numerical_pullback(bigger, {"C": t}) == one.scale(t)
@@ -125,12 +133,11 @@ def random_negative_definite_model(rng, max_size=8):
         for j in range(i + 1, n):
             off[i][j] = off[j][i] = rng.choice((0, 0, 0, 1, 1, 2))
     curves = []
-    matrix = []
     for i in range(n):
         diag = -(sum(off[i]) + rng.randint(1, 3))
         curves.append(ExceptionalCurve(DivisorLabel(f"E{i+1}"), diag, rng.choice((0, 0, 1))))
-        matrix.append(tuple(diag if i == j else off[i][j] for j in range(n)))
-    return ResolutionModel(tuple(curves), tuple(matrix))
+    edges = tuple((i, j, off[i][j]) for i in range(n) for j in range(i + 1, n) if off[i][j])
+    return ResolutionModel(tuple(curves), edges)
 
 
 def test_negativity_fuzz():
@@ -140,7 +147,7 @@ def test_negativity_fuzz():
     for _ in range(100):
         model = random_negative_definite_model(rng)
         goal = [Fraction(rng.randint(0, 12), rng.randint(1, 6)) for _ in model.curves]
-        coeffs = solve(model.matrix, goal)
+        coeffs = solve(model.diagonal, model.edges, goal)
         d = DivisorVector(zip(model.labels, coeffs))
         assert negativity_check(model, d)
         assert all(c <= 0 for c in coeffs)
@@ -170,7 +177,7 @@ def test_pair_inequality_fuzz():
         base = random_negative_definite_model(rng, max_size=5)
         n = len(base.curves)
         extra = Extra(C, tuple(rng.randint(0, 2) for _ in range(n)))
-        model = ResolutionModel(base.curves, base.matrix, (extra,))
+        model = ResolutionModel(base.curves, base.edges, (extra,))
         gamma = {"C": Fraction(rng.randint(0, 9), rng.randint(1, 4))}
         assert pair_inequality_check(model, gamma)
 
@@ -178,9 +185,10 @@ def test_pair_inequality_fuzz():
 def test_intersect_with_curves_on_a_chain_with_every_label():
     selfs = (-2, -3, -2, -4, -2, -3)
     labels = [DivisorLabel(f"E{i + 1}", "exceptional") for i in range(6)]
-    matrix = tuple(tuple(selfs[i] if i == j else int(abs(i - j) == 1) for j in range(6)) for i in range(6))
+    edges = tuple((i + 1, i, 1) for i in range(5))  # listed backwards, as a model file may
+    matrix = dense(selfs, edges)
     meets = (1, 0, 0, 0, 0, 2)
-    model = ResolutionModel(tuple(ExceptionalCurve(lab, s) for lab, s in zip(labels, selfs)), matrix, (Extra(C, meets),))
+    model = ResolutionModel(tuple(ExceptionalCurve(lab, s) for lab, s in zip(labels, selfs)), edges, (Extra(C, meets),))
     coeffs = [Fraction(3, 2), Fraction(-1), Fraction(2, 3), Fraction(5), Fraction(0), Fraction(-7, 4)]
     d = DivisorVector(list(zip(labels, coeffs)) + [(C, Fraction(1, 3))])
     expected = tuple(sum(coeffs[i] * matrix[i][j] for i in range(6)) + Fraction(1, 3) * meets[j] for j in range(6))

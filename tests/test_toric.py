@@ -5,11 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import brute_ideal_points, brute_module_gens
+from conftest import brute_ideal_points, brute_module_gens, dense, determinant
 from surfideals import toric
 from surfideals.divisors import DivisorLabel, DivisorVector
 from surfideals.errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
-from surfideals.linalg import determinant
 from surfideals.resolution import discrepancies, numerical_pullback, relative_canonical
 from surfideals.toric import (
     LEFT,
@@ -58,6 +57,24 @@ def test_hj_resolve_parameters():
         hj_resolve(3, 3)
     with pytest.raises(BadParameters):
         hj_resolve(1, 0)
+
+
+@pytest.mark.parametrize(
+    "r,a,message",
+    [
+        (4, 2, "need gcd(r, a) = 1 and 1 <= a < r, got r=4, a=2"),
+        (0, 1, "need gcd(r, a) = 1 and 1 <= a < r, got r=0, a=1"),
+        (1, 2, "the smooth chart is addressed as (r, a) = (1, 1)"),
+        (3, 3, "need gcd(r, a) = 1 and 1 <= a < r, got r=3, a=3"),
+        ("5", 2, "r and a must be integers"),
+    ],
+)
+def test_toric_model_refuses_bad_parameters_at_construction(r, a, message):
+    # the model holds its own invariant: a bad (r, a) never builds, so it
+    # cannot fail later at first use (a ZeroDivisionError in v_right for r = 0)
+    with pytest.raises(BadParameters) as exc:
+        toric.ToricSurfaceModel(r, a)
+    assert str(exc.value) == message
 
 
 def test_convention_oracle_one_third():
@@ -124,8 +141,8 @@ def test_exceptional_rays_pair_positively_with_both_boundary_rays():
 
 def test_chain_determinant_is_class_group_order():
     for model in all_models():
-        m = to_resolution(model).matrix
-        neg = [[-x for x in row] for row in m]
+        res = to_resolution(model)
+        neg = [[-x for x in row] for row in dense(res.diagonal, res.edges)]
         assert determinant(neg) == model.r
 
 
