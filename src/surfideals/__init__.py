@@ -55,6 +55,7 @@ from .frobenius import (
     numerical_containment_check,
     test_ideal,
     test_ideal_detailed,
+    test_ideal_sweep,
     trace_apply,
     trace_maps,
     trace_value,

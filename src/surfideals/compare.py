@@ -2,7 +2,8 @@
 
 For each pair the characteristic-zero multiplier ideal is computed once
 (its combinatorics are characteristic-free) and the test ideal once per
-prime; verdicts are exact generator-set comparisons.  The built-in
+prime, in one sweep (`frobenius.test_ideal_sweep`) that builds the seed
+and reads W once; verdicts are exact staircase comparisons.  The built-in
 catalog is the desk-scale grid that the acceptance suite and the CLI
 share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 {0, toric boundary}, lambda in {0, 1/2, 2/3, 1, 5/4}.
@@ -11,9 +12,9 @@ Both ideals depend on a pair only through its model and W = lambda Z,
 which `PairSpec` reduces to the two boundary coefficients w_left and
 w_right.  In each of the 45 models six of the ten entries are the pair
 (X, 0): Z = 0 at every lambda, and the boundary Z at lambda = 0.  So
-the 450 entries are 225 distinct pairs, and `compare_catalog` compares
-each distinct pair once and reports it under the id of every entry that
-names it.
+the 450 entries are 225 distinct pairs, and `compare_catalog` builds one
+`PairSpec` per distinct pair, compares it once and reports it under the
+id of every entry that names it.
 
 A report never claims anything about untested primes: it records the
 smallest tested prime from which agreement is unbroken, and the verdict
@@ -29,12 +30,12 @@ formula against itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .divisors import DivisorVector
-from .frobenius import CharPContext, test_ideal_detailed
+from .frobenius import test_ideal_detailed, test_ideal_sweep  # noqa: F401  (an alias perfbench's tracer test reads)
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import MonomialIdeal, ToricSurfaceModel, hj_resolve
 
@@ -142,8 +143,9 @@ def _classify(j: MonomialIdeal, tau: MonomialIdeal) -> str:
 
 
 def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> ComparisonReport:
-    """Run the multiplier/test comparison for one pair over a prime sweep:
-    one test ideal per prime.
+    """Run the multiplier/test comparison for one pair over a prime sweep
+    (`test_ideal_sweep`); only a test staircase unequal to J's is built
+    into a `MonomialIdeal` and classified.
 
     tau included in J needs no separate check: the verdict already decides
     it.  Nor does tau(W + Gamma) included in tau(W) for effective Gamma:
@@ -155,11 +157,14 @@ def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> Comp
     """
     model = pair.model
     j = multiplier_ideal(pair)
+    primes = sorted(primes)
     verdicts = []
-    for p in sorted(primes):
-        tau = test_ideal_detailed(pair, CharPContext(p)).ideal
-        verdict = _classify(j, tau)
-        verdicts.append(PrimeVerdict(p, verdict, test_gens=tau.gens if verdict != EQUAL else None))
+    for p, (stairs, _) in zip(primes, test_ideal_sweep(pair, primes)):
+        if stairs == j.stairs:
+            verdicts.append(PrimeVerdict(p, EQUAL))
+        else:
+            tau = MonomialIdeal(model, stairs)
+            verdicts.append(PrimeVerdict(p, _classify(j, tau), tau.gens))
     stable_from = None  # the first prime of the longest all-equal tail
     for v in reversed(verdicts):
         if v.verdict != EQUAL:
@@ -182,22 +187,23 @@ def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT) -
 def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map) -> list[ComparisonReport]:
     """The report of every catalog entry, in catalog order.
 
-    Each model is resolved once and each entry's `PairSpec` validates it.
-    Entries with the same model and W, keyed by the integers r, a and the
-    numerators and denominators of w_left and w_right (a Fraction hashes
-    slowly), share one `compare_pair` call, made
+    Each model is resolved once.  An entry's W = lambda Z is 0 when
+    lambda = 0 or Z = 0, and those entries of one model are one pair;
+    any other entry is keyed by its Z and the numerator and denominator
+    of lambda (a Fraction hashes slowly).  Each distinct key gets one
+    `PairSpec`, which validates it, and one `compare_pair` call, made
     through `map` over the distinct pairs (`compare catalog --jobs N`
-    passes a thread pool's), and each entry gets that report under its
-    own id.
+    passes a thread pool's).  Each entry gets that report under its own id.
     """
     entries = catalog_entries()
     models = {key: hj_resolve(*key) for key in dict.fromkeys((e.r, e.a) for e in entries)}
     keys, distinct = [], {}
     for e in entries:
-        model = models[e.r, e.a]
-        pair = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
-        wl, wr = pair.w_left, pair.w_right
-        keys.append((e.r, e.a, wl.numerator, wl.denominator, wr.numerator, wr.denominator))
-        distinct.setdefault(keys[-1], pair)
-    shared = dict(zip(distinct, map(lambda pair: compare_pair(pair, primes), distinct.values())))
-    return [replace(shared[key], pair_id=e.entry_id) for e, key in zip(entries, keys)]
+        key = (e.r, e.a) if e.z_kind == "zero" or not e.lam else (e.r, e.a, e.z_kind, e.lam.numerator, e.lam.denominator)
+        keys.append(key)
+        if key not in distinct:
+            model = models[e.r, e.a]
+            distinct[key] = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
+    reports = map(lambda pair: compare_pair(pair, primes), distinct.values())
+    shared = {key: (rep.multiplier_gens, rep.verdicts, rep.stable_from_prime) for key, rep in zip(distinct, reports)}
+    return [ComparisonReport(e.entry_id, *shared[key]) for e, key in zip(entries, keys)]

@@ -95,6 +95,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .divisors import DivisorVector
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
@@ -286,11 +287,11 @@ class TestIdealResult:
     depth_used: int
 
 
-def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed: tuple[Pair, ...]) -> TestIdealResult:
+def _closure(model: ToricSurfaceModel, p: int, nl: int, dl: int, nr: int, dr: int, seed: tuple[Pair, ...]) -> tuple[tuple[Pair, ...], int]:
     """Close the ideal with staircase `seed` in semi-naive rounds, each
     mapping Delta, the stairs the last round added, at the depths
-    1..E(Delta) (module docstring).  A round works on bare staircases,
-    and Delta stays sorted by s, a filter of the grown staircase.  The
+    1..E(Delta) (module docstring), on bare ints and staircases, for
+    w_left = nl/dl and w_right = nr/dr; Delta stays sorted by s.  The
     corner of `_corner` at the twist bound b_v(e) of a stair pairing x is
     max(0, ceil((x + b_v(e)) / q)) = floor((x + ceil((q - 1) w_v)) / q),
     as ceil(y / q) = floor((y + q - 1) / q) and x, w_v >= 0.  The twist
@@ -299,9 +300,8 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
     A round sorts its run-start corners (`_run_corners`) once and walks
     them: a corner is minimal when its t is below every earlier t, and
     only a minimal corner is looked up in the staircase.
-    `depth_used`, the length of the twist table, is the largest depth
-    any round applied."""
-    nl, dl, nr, dr = wl.numerator, wl.denominator, wr.numerator, wr.denominator
+    Returns the staircase and the depth used, the length of the twist
+    table: the largest depth any round applied."""
     twists: list[tuple[int, int, int]] = []
     stairs = delta = seed
     while delta:
@@ -321,14 +321,26 @@ def _closure(model: ToricSurfaceModel, p: int, wl: Fraction, wr: Fraction, seed:
         grown = _minimal_stairs(stairs + tuple(pair for c in new for pair in corner_stairs(model, *c)))
         old = set(stairs)
         stairs, delta = grown, tuple(pair for pair in grown if pair not in old)
-    return TestIdealResult(MonomialIdeal(model, stairs), len(twists))
+    return stairs, len(twists)
+
+
+def test_ideal_sweep(pair: PairSpec, primes: Sequence[int]) -> list[tuple[tuple[Pair, ...], int]]:
+    """(staircase of tau(X, lambda Z), depth used) at each of `primes`, in
+    order, all checked by `CharPContext` first: the seed and the integers
+    of W do not depend on p, so one pair's `_closure` calls share them."""
+    for p in primes:
+        CharPContext(p)
+    model, wl, wr = pair.model, pair.w_left, pair.w_right
+    seed = _seed(model, wl, wr)
+    return [_closure(model, p, wl.numerator, wl.denominator, wr.numerator, wr.denominator, seed) for p in primes]
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:
     """tau(X, lambda Z) with the largest Frobenius depth its closure used:
     a toric pair, validated by `PairSpec`, is its model and two boundary
     coefficients."""
-    return _closure(pair.model, ctx.p, pair.w_left, pair.w_right, _seed(pair.model, pair.w_left, pair.w_right))
+    ((stairs, depth),) = test_ideal_sweep(pair, (ctx.p,))
+    return TestIdealResult(MonomialIdeal(pair.model, stairs), depth)
 
 
 def test_ideal(pair: PairSpec, ctx: CharPContext) -> MonomialIdeal:

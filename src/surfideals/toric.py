@@ -45,6 +45,7 @@ LEFT = "BL"
 RIGHT = "BR"
 LEFT_LABEL = DivisorLabel(LEFT, "boundary")
 RIGHT_LABEL = DivisorLabel(RIGHT, "boundary")
+BOUNDARY = DivisorVector([(LEFT_LABEL, 1), (RIGHT_LABEL, 1)])  # B_left + B_right of every model; immutable
 
 # Hard cap on the s values one section scan visits (at most r past
 # its last binding constraint): only inputs far past desk scale reach it.
@@ -177,7 +178,7 @@ class ToricSurfaceModel:
         return tuple(c[j - 1] - b * c[j] + c[j + 1] for j, b in enumerate(self.hj, start=1))
 
     def boundary_divisor(self) -> DivisorVector:
-        return DivisorVector([(LEFT_LABEL, 1), (RIGHT_LABEL, 1)])
+        return BOUNDARY
 
     def pairing(self, u: Point) -> Pair:
         """Pairing coordinates (s, t) = (u_1, <u, v_right>) of the monomial x^u."""

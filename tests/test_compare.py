@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ideal_points
-from surfideals import compare, frobenius
+from surfideals import frobenius
 from surfideals.compare import (
     EQUAL,
     INCOMPARABLE,
@@ -151,7 +151,8 @@ def test_ideals_that_contain_each_other_have_equal_staircases():
         for _ in range(6):
             wl, wr = (Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(2))
             for p in (2, 3, 5):
-                stairs = frobenius._closure(model, p, wl, wr, frobenius._seed(model, wl, wr)).ideal.stairs
+                w = (wl.numerator, wl.denominator, wr.numerator, wr.denominator)
+                stairs, _ = frobenius._closure(model, p, *w, frobenius._seed(model, wl, wr))
                 assert _minimal_stairs(stairs) == stairs
     assert mutual >= 150
 
@@ -160,15 +161,15 @@ def test_strict_verdicts_are_reported(monkeypatch):
     # a test ideal that shrinks at p = 2 gives a strict verdict there, records
     # its generators, and moves stable_from_prime to the next prime
     pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
-    real = compare.test_ideal_detailed
+    real = frobenius._closure
 
-    def shrunk_at_two(pair, ctx):
-        result = real(pair, ctx)
-        if ctx.p != 2:
-            return result
-        return frobenius.TestIdealResult(result.ideal.intersect(MonomialIdeal(SMOOTH, X3Y3)), result.depth_used)
+    def shrunk_at_two(model, p, *w_and_seed):
+        stairs, depth = real(model, p, *w_and_seed)
+        if p != 2:
+            return stairs, depth
+        return MonomialIdeal(model, stairs).intersect(MonomialIdeal(SMOOTH, X3Y3)).stairs, depth
 
-    monkeypatch.setattr(compare, "test_ideal_detailed", shrunk_at_two)
+    monkeypatch.setattr(frobenius, "_closure", shrunk_at_two)
     report = compare_pair(pair, primes=(2, 3, 5))
     assert [v.verdict for v in report.verdicts] == [MULTIPLIER_LARGER, EQUAL, EQUAL]
     assert report.stable_from_prime == 3 and not report.all_equal()
@@ -194,15 +195,15 @@ def test_stable_from_prime_is_the_first_prime_of_the_equal_tail(monkeypatch, shr
     # a middle prime that disagrees moves stable_from_prime past it, and a
     # last prime that disagrees leaves no prime from which all agree
     pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
-    real = compare.test_ideal_detailed
+    real = frobenius._closure
 
-    def shrunk_at(pair, ctx):
-        result = real(pair, ctx)
-        if ctx.p not in shrunk:
-            return result
-        return frobenius.TestIdealResult(result.ideal.intersect(MonomialIdeal(SMOOTH, X3Y3)), result.depth_used)
+    def shrunk_at(model, p, *w_and_seed):
+        stairs, depth = real(model, p, *w_and_seed)
+        if p not in shrunk:
+            return stairs, depth
+        return MonomialIdeal(model, stairs).intersect(MonomialIdeal(SMOOTH, X3Y3)).stairs, depth
 
-    monkeypatch.setattr(compare, "test_ideal_detailed", shrunk_at)
+    monkeypatch.setattr(frobenius, "_closure", shrunk_at)
     report = compare_pair(pair, primes=(11, 2, 7, 3, 5))
     assert [v.verdict != EQUAL for v in report.verdicts] == [p in shrunk for p in (2, 3, 5, 7, 11)]
     assert report.stable_from_prime == stable == _old_stable_from_prime(report.verdicts)

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ideal_points, brute_test_ideal
-from surfideals.compare import CATALOG_R_MAX
+from surfideals import frobenius
+from surfideals.compare import CATALOG_R_MAX, PRIMES_DEFAULT, catalog_entries, compare_pair
 from surfideals.divisors import DivisorVector
 from surfideals.errors import BadParameters, InvalidModel, NonEffectiveGamma
 from surfideals.frobenius import (
@@ -22,6 +23,7 @@ from surfideals.frobenius import (
     numerical_containment_check,
     test_ideal as tau,
     test_ideal_detailed as tau_detailed,
+    test_ideal_sweep as tau_sweep,
     trace_apply,
     trace_maps,
     trace_value,
@@ -165,8 +167,41 @@ def test_seed_independence_over_catalog():
             deeper = _seed(model, lam + 1, lam + 1)[:1]
             for p in (2, 3):
                 detail = tau_detailed(PairSpec(model, model.boundary_divisor(), lam), CharPContext(p))
-                assert detail.ideal == _closure(model, p, lam, lam, deeper).ideal, (model, lam, p)
+                w = (lam.numerator, lam.denominator) * 2
+                assert detail.ideal.stairs == _closure(model, p, *w, deeper)[0], (model, lam, p)
                 assert detail.depth_used >= 1
+
+
+def test_sweep_agrees_with_the_one_prime_path(monkeypatch):
+    # the sweep builds a pair's seed once and closes it at each prime; every
+    # staircase and depth it returns is the one test_ideal_detailed computes
+    # alone (tau does not depend on p on these pairs, the depth does)
+    distinct = {}
+    for entry in catalog_entries():
+        pair = entry.pair()
+        distinct.setdefault((pair.model, pair.w_left, pair.w_right), pair)
+    cases = [(pair, PRIMES_DEFAULT) for pair in distinct.values()]
+    assert len(cases) == 225
+    rng = random.Random(97)
+    primes = [p for p in range(2, 32) if is_prime(p)]
+    wild = 0
+    for _ in range(300):
+        r = rng.randint(2, 40)
+        model = hj_resolve(r, rng.choice([a for a in range(1, r) if math.gcd(r, a) == 1]))
+        wl, wr = (Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(2))
+        sweep = rng.sample(primes, 3) + [p for p in primes if r % p == 0][:1]
+        wild += r % sweep[-1] == 0
+        cases.append((PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr})), sweep))
+    assert wild >= 100
+    for pair, sweep in cases:
+        alone = [tau_detailed(pair, CharPContext(p)) for p in sweep]
+        assert tau_sweep(pair, sweep) == [(d.ideal.stairs, d.depth_used) for d in alone], (pair, sweep)
+    # every prime is checked before any closure runs
+    calls = []
+    monkeypatch.setattr(frobenius, "_closure", lambda *args: calls.append(args))
+    with pytest.raises(InvalidModel):
+        compare_pair(PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(1, 2)), primes=(2, 4))
+    assert calls == []
 
 
 def test_seed_is_tau_for_integral_w():
