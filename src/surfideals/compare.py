@@ -30,7 +30,6 @@ formula against itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -63,8 +62,7 @@ class PrimeVerdict(NamedTuple):
         return doc
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     pair_id: str
     multiplier_gens: tuple[tuple[int, int], ...]
     verdicts: tuple[PrimeVerdict, ...]
@@ -97,8 +95,7 @@ def z_divisor(model: ToricSurfaceModel, z_kind: str) -> DivisorVector:
     raise ValueError(f"unknown Z choice {z_kind!r}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     r: int
     a: int
     z_kind: str

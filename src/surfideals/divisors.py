@@ -13,9 +13,8 @@ structural and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 KINDS = ("exceptional", "strict-transform", "boundary")
 
@@ -36,16 +35,16 @@ def rat(x: RatLike) -> Fraction:
     raise TypeError(f"expected an exact rational (int/str/Fraction), got {type(x).__name__}")
 
 
-@dataclass(frozen=True, order=True)
-class DivisorLabel:
-    """Name of a prime divisor on the resolution, tagged by its role."""
+class DivisorLabel(NamedTuple("DivisorLabel", [("name", str), ("kind", str)])):
+    """Name of a prime divisor on the resolution, tagged by its role; labels
+    sort by (name, kind)."""
 
-    name: str
-    kind: str = "exceptional"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown divisor kind {self.kind!r}")
+    def __new__(cls, name, kind="exceptional"):
+        if kind not in KINDS:
+            raise ValueError(f"unknown divisor kind {kind!r}")
+        return tuple.__new__(cls, (name, kind))
 
 
 class DivisorVector:

@@ -93,9 +93,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .divisors import DivisorVector
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
@@ -110,7 +109,9 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n below _MR_LIMIT."""
+    """Deterministic Miller-Rabin primality test for an int n below _MR_LIMIT."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidModel(f"a prime must be an int, got {type(n).__name__}")
     if n >= _MR_LIMIT:
         raise BadParameters(f"primality of {n} is not decided above {_MR_LIMIT}")
     if n in _MR_BASES:
@@ -133,19 +134,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CharPContext:
+class CharPContext(NamedTuple("CharPContext", [("p", int)])):
     """The characteristic p of the Frobenius trace maps."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise InvalidModel(f"{self.p} is not prime")
+    def __new__(cls, p):
+        if not is_prime(p):
+            raise InvalidModel(f"{p} is not prime")
+        return tuple.__new__(cls, (p,))
 
 
-@dataclass(frozen=True)
-class TraceMap:
+class TraceMap(NamedTuple):
     """phi_c at depth e: x^u -> x^((u + twist) / p^e), or 0."""
 
     e: int
@@ -281,8 +281,7 @@ def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...]) ->
     return corners
 
 
-@dataclass(frozen=True)
-class TestIdealResult:
+class TestIdealResult(NamedTuple):
     ideal: MonomialIdeal
     depth_used: int
 

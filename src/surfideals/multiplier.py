@@ -39,8 +39,8 @@ the least pairing on the ray v of the monomials of O_X(-floor(tZ)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .divisors import DivisorVector, RatLike, rat
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
@@ -69,29 +69,27 @@ def _check_effective(lam: Fraction, z_effective: bool) -> None:
         raise InvalidModel("Z must be effective")
 
 
-@dataclass(frozen=True)
-class PairSpec:
-    """An effective pair (X, lambda * Z) with Z supported on the boundary.
+class PairSpec(NamedTuple("PairSpec", [("model", ToricSurfaceModel), ("z", DivisorVector), ("lam", Fraction), ("w_left", Fraction), ("w_right", Fraction)])):
+    """An effective pair (X, lambda * Z) with Z supported on the boundary,
+    built as PairSpec(model, z, lam=1).
 
     `w_left` and `w_right` are the coefficients of W = lambda Z on the two
-    boundary rays: with the model, they are all a toric pair's ideals
-    depend on.
+    boundary rays, derived from the other fields: with the model, they are
+    all a toric pair's ideals depend on.
     """
 
-    model: ToricSurfaceModel
-    z: DivisorVector
-    lam: Fraction = Fraction(1)
-    w_left: Fraction = field(init=False, repr=False, compare=False)
-    w_right: Fraction = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", rat(self.lam))
-        _check_effective(self.lam, self.z.is_effective())
-        bl, br = self.model.boundary_labels
-        if any(l not in (bl, br) for l in self.z.support):
+    def __new__(cls, model, z, lam=Fraction(1)):
+        lam = rat(lam)
+        _check_effective(lam, z.is_effective())
+        bl, br = model.boundary_labels
+        if any(l not in (bl, br) for l in z.support):
             raise InvalidModel("Z must be supported on the boundary rays")
-        object.__setattr__(self, "w_left", self.lam * self.z.coeff(bl))
-        object.__setattr__(self, "w_right", self.lam * self.z.coeff(br))
+        return tuple.__new__(cls, (model, z, lam, lam * z.coeff(bl), lam * z.coeff(br)))
+
+    def __getnewargs__(self):
+        return self[:3]
 
     def scaled_z(self) -> DivisorVector:
         return self.z.scale(self.lam)

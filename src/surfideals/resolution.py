@@ -20,58 +20,51 @@ check, and the discrepancy inequality for effective boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import linalg
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
 from .errors import InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 
 
-@dataclass(frozen=True)
-class ExceptionalCurve:
-    label: DivisorLabel
-    self_intersection: int
-    genus: int = 0
+class ExceptionalCurve(NamedTuple("ExceptionalCurve", [("label", DivisorLabel), ("self_intersection", int), ("genus", int)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.label.kind != "exceptional":
-            raise InvalidModel(f"curve {self.label.name!r} must have kind 'exceptional'")
-        if self.self_intersection > -1:
-            raise InvalidModel(f"curve {self.label.name!r} needs self-intersection <= -1")
-        if self.genus < 0:
-            raise InvalidModel(f"curve {self.label.name!r} has negative genus")
+    def __new__(cls, label, self_intersection, genus=0):
+        if label.kind != "exceptional":
+            raise InvalidModel(f"curve {label.name!r} must have kind 'exceptional'")
+        if self_intersection > -1:
+            raise InvalidModel(f"curve {label.name!r} needs self-intersection <= -1")
+        if genus < 0:
+            raise InvalidModel(f"curve {label.name!r} has negative genus")
+        return tuple.__new__(cls, (label, self_intersection, genus))
 
 
-@dataclass(frozen=True)
-class Extra:
+class Extra(NamedTuple("Extra", [("label", DivisorLabel), ("meets", tuple[int, ...])])):
     """A non-exceptional prime divisor seen through the resolution.
 
     `meets` lists its intersection number with each exceptional curve.
     It maps birationally onto its image on X, so pi_* C = C_X.
     """
 
-    label: DivisorLabel
-    meets: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.label.kind == "exceptional":
-            raise InvalidModel(f"extra {self.label.name!r} cannot be exceptional")
-        if any(m < 0 for m in self.meets):
-            raise InvalidModel(f"extra {self.label.name!r} has negative intersection numbers")
+    def __new__(cls, label, meets):
+        if label.kind == "exceptional":
+            raise InvalidModel(f"extra {label.name!r} cannot be exceptional")
+        if any(m < 0 for m in meets):
+            raise InvalidModel(f"extra {label.name!r} has negative intersection numbers")
+        return tuple.__new__(cls, (label, meets))
 
 
-@dataclass(frozen=True)
-class ResolutionModel:
-    curves: tuple[ExceptionalCurve, ...]
-    edges: tuple[linalg.Edge, ...]
-    extras: tuple[Extra, ...] = ()
+class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[ExceptionalCurve, ...]), ("edges", tuple[linalg.Edge, ...]), ("extras", tuple[Extra, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.curves)
+    def __new__(cls, curves, edges, extras=()):
+        n = len(curves)
         pairs = set()
-        for i, j, m in self.edges:
+        for i, j, m in edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise InvalidModel(f"edge ({i}, {j}) needs two distinct curve indices below {n}")
             pair = (min(i, j), max(i, j))
@@ -80,14 +73,16 @@ class ResolutionModel:
             pairs.add(pair)
             if m < 0:
                 raise InvalidModel("off-diagonal intersection numbers must be >= 0")
-        names = [c.label.name for c in self.curves] + [x.label.name for x in self.extras]
+        names = [c.label.name for c in curves] + [x.label.name for x in extras]
         if len(set(names)) != len(names):
             raise InvalidModel("divisor labels must be unique within a model")
-        for x in self.extras:
+        for x in extras:
             if len(x.meets) != n:
                 raise InvalidModel(f"extra {x.label.name!r} has {len(x.meets)} intersection numbers, expected {n}")
-        if not linalg.is_negative_definite(self.diagonal, self.edges):
+        self = tuple.__new__(cls, (curves, edges, extras))
+        if not linalg.is_negative_definite(self.diagonal, edges):
             raise NotNegativeDefinite("intersection matrix is not negative definite")
+        return self
 
     # -- structure --------------------------------------------------------
 

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .divisors import DivisorLabel, DivisorVector, RatLike, rat
 from .errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
@@ -95,25 +94,22 @@ def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
     return tuple(bs)
 
 
-@dataclass(frozen=True)
-class ToricSurfaceModel:
+class ToricSurfaceModel(NamedTuple("ToricSurfaceModel", [("r", int), ("a", int)])):
     """Resolved cyclic quotient 1/r(1,a), with (1, 1) the smooth chart; any other
-    (r, a) is refused at construction.  Its fields are r and a, so equality and
-    cache keys read two ints; the rest is derived once."""
-
-    r: int
-    a: int
+    (r, a) is refused at construction.  It is the tuple (r, a), so equality and
+    cache keys read two ints; the rest is derived once, into the instance dict
+    that the class keeps by declaring no `__slots__`."""
 
     v_left = (0, 1)
 
-    def __post_init__(self):
-        r, a = self.r, self.a
-        if not (isinstance(r, int) and isinstance(a, int)):
+    def __new__(cls, r, a):
+        if not (isinstance(r, int) and isinstance(a, int)) or isinstance(r, bool) or isinstance(a, bool):
             raise BadParameters("r and a must be integers")
         if r == 1 and a != 1:
             raise BadParameters("the smooth chart is addressed as (r, a) = (1, 1)")
         if r != 1 and (r < 1 or not (1 <= a < r) or math.gcd(r, a) != 1):
             raise BadParameters(f"need gcd(r, a) = 1 and 1 <= a < r, got r={r}, a={a}")
+        return tuple.__new__(cls, (r, a))
 
     @cached_property
     def v_right(self) -> Point:
@@ -299,8 +295,7 @@ def _section_min_gens_cached(
 # -- monomial ideals -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(NamedTuple):
     """Monomial ideal in the coordinate monoid of X, as its staircase: the
     minimal pairs (s, t) of its generators, sorted by s; ((0, 0),) is the
     unit ideal.  All comparisons are exact staircase comparisons."""

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -144,7 +143,9 @@ def test_a_command_spelled_in_full_builds_no_parser(capsys, monkeypatch):
 
 IMPORT_GUARD = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from surfideals.cli import main
+imported = [m for m in ("dataclasses", "inspect") if m in set(sys.modules) - before]
 with contextlib.redirect_stdout(io.StringIO()):
     main(["discrepancy", "cyclic:5/2"])
 loaded = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
@@ -153,19 +154,21 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
         main(["discrepancy", "-h"])
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([loaded, code, out.getvalue()]))
+print(json.dumps([imported, loaded, code, out.getvalue()]))
 """
 
 
 def test_a_plain_line_loads_no_argparse(monkeypatch):
-    # a fresh interpreter: this one has imported argparse already
+    # a fresh interpreter: this one has imported argparse already; the
+    # import itself adds neither dataclasses nor inspect (a site that
+    # preloads one of them does not count)
     monkeypatch.setenv("COLUMNS", "80")  # help wraps at the terminal's width
     src = str(Path(compare.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, check=True)
-    loaded, code, help_text = json.loads(done.stdout)
+    imported, loaded, code, help_text = json.loads(done.stdout)
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert (loaded, code, help_text) == ([], 0, subparsers.choices["discrepancy"].format_help())
+    assert (imported, loaded, code, help_text) == ([], [], 0, subparsers.choices["discrepancy"].format_help())
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -839,7 +842,13 @@ def test_toric_commands_build_few_labels_per_ray(capsys, monkeypatch, argv):
     rays = len(hj_resolve(1009, 1008).rays())
     toric._section_min_gens_cached.cache_clear()
     built = []
-    monkeypatch.setattr(DivisorLabel, "__post_init__", lambda self: built.append(self.name))
+    new = DivisorLabel.__new__
+
+    def counted(cls, name, kind="exceptional"):
+        built.append(name)
+        return new(cls, name, kind)
+
+    monkeypatch.setattr(DivisorLabel, "__new__", counted)
     code = main(list(argv))
     capsys.readouterr()
     assert code == 0
@@ -916,7 +925,7 @@ def test_catalog_writes_each_verdict_list_once(monkeypatch):
     # reports with equal verdicts share one written-once `primes` list; on
     # the catalog every verdict is `equal`, so one list serves all 450
     real = compare.compare_catalog((2, 3))
-    differing = [replace(rep, verdicts=(compare.PrimeVerdict(2, compare.TEST_LARGER, ((0, 1),)),) + rep.verdicts[1:])
+    differing = [rep._replace(verdicts=(compare.PrimeVerdict(2, compare.TEST_LARGER, ((0, 1),)),) + rep.verdicts[1:])
                  if k % 3 == 0 else rep for k, rep in enumerate(real)]
     for reports in (real, differing):
         doc, plain = _catalog_docs(monkeypatch, reports)

@@ -41,6 +41,15 @@ def test_context_validation():
         CharPContext(4)
 
 
+@pytest.mark.parametrize("p", [2.0, 2.5, True])
+def test_a_prime_must_be_an_int(p):
+    # 2.0 == 2 passes a membership test, and a float would reach the closure
+    for check in (is_prime, CharPContext):
+        with pytest.raises(InvalidModel) as exc:
+            check(p)
+        assert str(exc.value) == f"a prime must be an int, got {type(p).__name__}"
+
+
 def test_is_prime_against_trial_division():
     for n in range(10**4):
         assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -67,6 +66,8 @@ def test_hj_resolve_parameters():
         (1, 2, "the smooth chart is addressed as (r, a) = (1, 1)"),
         (3, 3, "need gcd(r, a) = 1 and 1 <= a < r, got r=3, a=3"),
         ("5", 2, "r and a must be integers"),
+        (3, True, "r and a must be integers"),
+        (True, 1, "r and a must be integers"),
     ],
 )
 def test_toric_model_refuses_bad_parameters_at_construction(r, a, message):
@@ -101,7 +102,7 @@ def test_fan_geometry_invariants():
     """A model is its (r, a), and its ray recursion closes the cone at
     v_right = (r, -(a mod r)) in unimodular steps."""
     for model in all_models(60):
-        assert [field.name for field in dataclasses.fields(model)] == ["r", "a"]
+        assert model._fields == ("r", "a") and tuple(model) == (model.r, model.a)
         twin = hj_resolve(model.r, model.a)
         assert twin is not model and twin == model and hash(twin) == hash(model)
         rays = [vec for _, vec in model.rays()]

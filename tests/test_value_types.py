@@ -1,0 +1,70 @@
+"""The value types are immutable tuples of their fields: a field cannot be
+reassigned, and equal values are equal and hash equal.  Those that check
+their fields do it in the constructor, so every value is a valid one."""
+
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from surfideals import frobenius
+from surfideals.compare import EQUAL, CatalogEntry, ComparisonReport, PrimeVerdict
+from surfideals.divisors import DivisorLabel, DivisorVector
+from surfideals.multiplier import PairSpec
+from surfideals.resolution import ExceptionalCurve, Extra, ResolutionModel
+from surfideals.toric import MonomialIdeal, hj_resolve
+
+# name -> a function building one value of the type, afresh on each call
+BUILDERS = {
+    "DivisorLabel": lambda: DivisorLabel("E1"),
+    "ExceptionalCurve": lambda: ExceptionalCurve(DivisorLabel("E1"), -2),
+    "Extra": lambda: Extra(DivisorLabel("C", "strict-transform"), (1,)),
+    "ResolutionModel": lambda: ResolutionModel(
+        (ExceptionalCurve(DivisorLabel("E1"), -2),), (), (Extra(DivisorLabel("C", "strict-transform"), (1,)),)
+    ),
+    "ToricSurfaceModel": lambda: hj_resolve(7, 3),
+    "MonomialIdeal": lambda: MonomialIdeal.from_points(hj_resolve(7, 3), [(1, 0), (3, 1)]),
+    "PairSpec": lambda: PairSpec(hj_resolve(7, 3), hj_resolve(7, 3).boundary_divisor(), "2/3"),
+    "CharPContext": lambda: frobenius.CharPContext(5),
+    "TraceMap": lambda: frobenius.TraceMap(1, (1, 1)),
+    "TestIdealResult": lambda: frobenius.TestIdealResult(MonomialIdeal(hj_resolve(2, 1), ((0, 0),)), 1),
+    "ComparisonReport": lambda: ComparisonReport("cyclic:2/1|z=zero|lam=0", ((0, 0),), (PrimeVerdict(2, EQUAL),), 2),
+    "CatalogEntry": lambda: CatalogEntry(3, 1, "boundary", Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fields_cannot_be_reassigned_and_equal_values_hash_equal(name):
+    first, second = BUILDERS[name](), BUILDERS[name]()
+    assert type(first).__name__ == name
+    assert first is not second and first == second and hash(first) == hash(second)
+    for field in first._fields:
+        with pytest.raises(AttributeError):
+            setattr(first, field, getattr(second, field))
+    assert first == second == pickle.loads(pickle.dumps(first))
+
+
+def test_a_toric_model_is_its_r_and_a():
+    # section caches are keyed by the model: it must compare and hash as (r, a)
+    model = hj_resolve(7, 3)
+    assert model._fields == ("r", "a") and model == (7, 3) and hash(model) == hash((7, 3))
+    assert model.hj == (3, 2, 2) and set(vars(model)) == {"hj"}  # derived values live beside the fields
+
+
+def test_divisor_labels_sort_by_name_then_kind():
+    labels = [DivisorLabel("E2"), DivisorLabel("E1"), DivisorLabel("E1", "boundary"), DivisorLabel("BL", "boundary")]
+    expected = [("BL", "boundary"), ("E1", "boundary"), ("E1", "exceptional"), ("E2", "exceptional")]
+    assert [(label.name, label.kind) for label in sorted(labels)] == expected
+    vector = DivisorVector((label, 1) for label in labels)
+    assert [(label.name, label.kind) for label in vector.support] == expected
+
+
+def test_a_pair_normalises_lambda_and_derives_w():
+    model = hj_resolve(7, 3)
+    for lam in (1, "1", Fraction(1)):
+        pair = PairSpec(model, model.boundary_divisor(), lam)
+        assert type(pair.lam) is Fraction and pair == PairSpec(model, model.boundary_divisor())
+    pair = PairSpec(model, model.divisor({"BL": 2, "BR": "1/3"}), "3/4")
+    assert (pair.w_left, pair.w_right) == (Fraction(3, 2), Fraction(1, 4))
+    with pytest.raises(TypeError):
+        PairSpec(model, model.boundary_divisor(), 0.5)
