@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Optional, Union
 from . import compare as compare_mod
 from . import frobenius, multiplier, resolution, toric
 from .divisors import DivisorLabel, DivisorVector, rat
-from .errors import BadParameters, DomainError, InvalidModel, ModelFileError
+from .errors import BadParameters, DisconnectedDualGraph, DomainError, InvalidModel, ModelFileError
 from .frobenius import CharPContext
 from .multiplier import PairSpec
 
@@ -183,21 +183,10 @@ def _model_from_dict(doc: dict, where: str) -> Union[toric.ToricSurfaceModel, re
             if _parse_rat(x.get("pushforward", 1), f"{where}: extras[{k}].pushforward", ModelFileError) != 1:
                 raise ModelFileError(f"{where}: extras[{k}].pushforward must be 1 (a prime divisor maps onto its image)")
             extras.append(resolution.Extra(label, tuple(_int(m, f"{where}: extras[{k}].meets") for m in x["meets"])))
-        model = resolution.ResolutionModel(tuple(curve_objs), tuple(edges), tuple(extras))
-        # the exceptional set over one normal point is connected (Zariski's main theorem)
-        adjacent: list[list[int]] = [[] for _ in range(n)]
-        for i, j, m in edges:
-            if m > 0:
-                adjacent[i].append(j)
-                adjacent[j].append(i)
-        reached, todo = {0}, [0]
-        while todo:
-            todo += [j for j in adjacent[todo.pop()] if j not in reached]
-            reached.update(todo)
-        if len(reached) < n:
-            k = next(k for k in range(n) if k not in reached)
-            raise ModelFileError(f"{where}: curves[{k}] ({curve_objs[k].label.name!r}) is not connected to curves[0] through the intersections; the dual graph must be connected")
-        return model
+        try:
+            return resolution.ResolutionModel(tuple(curve_objs), tuple(edges), tuple(extras))
+        except DisconnectedDualGraph as exc:
+            raise ModelFileError(f"{where}: {exc}") from None
     raise ModelFileError(f"{where}: 'kind' must be 'cyclic' or 'dualgraph', got {kind!r}")
 
 

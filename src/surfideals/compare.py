@@ -1,9 +1,10 @@
 """Side-by-side comparison of multiplier and test ideals over prime sweeps.
 
 For each pair the characteristic-zero multiplier ideal is computed once
-(its combinatorics are characteristic-free) and the test ideal once per
-prime, in one sweep (`frobenius.test_ideal_sweep`) that builds the seed
-and reads W once; verdicts are exact staircase comparisons.  The built-in
+(its combinatorics are characteristic-free) and the test ideal at each
+prime by one sweep (`frobenius.test_ideal_sweep`), whose closure runs
+all primes in lockstep and shares the work that does not depend on p;
+verdicts are exact staircase comparisons.  The built-in
 catalog is the desk-scale grid that the acceptance suite and the CLI
 share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 {0, toric boundary}, lambda in {0, 1/2, 2/3, 1, 5/4}.
@@ -22,9 +23,9 @@ for each tested prime.  Every prime is tested, p | r included.  On toric
 pairs tau = J = O_X(-floor(W)) in every characteristic by theorem (the
 `multiplier` and `frobenius` module docstrings; Blickle 2004), so every
 verdict is `equal`.  The harness still computes tau from its definition,
-the trace-map closure, at every prime of every distinct pair, so each
-verdict checks that closure against the multiplier ideal rather than a
-formula against itself.
+the trace-map closure, at every prime of every distinct pair (each prime
+runs its own rounds to its own fixed point), so each verdict checks that
+closure against the multiplier ideal rather than a formula against itself.
 """
 
 from __future__ import annotations

@@ -17,6 +17,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 KINDS = ("exceptional", "strict-transform", "boundary")
+# `_make`, and so `_replace`, of a type whose `__new__` checks its fields
+_make_checked = classmethod(lambda cls, fields: cls(*fields))
 
 RatLike = Union[int, str, Fraction]
 
@@ -40,6 +42,7 @@ class DivisorLabel(NamedTuple("DivisorLabel", [("name", str), ("kind", str)])):
     sort by (name, kind)."""
 
     __slots__ = ()
+    _make = _make_checked
 
     def __new__(cls, name, kind="exceptional"):
         if kind not in KINDS:

@@ -29,6 +29,10 @@ class NonEffectiveGamma(DomainError):
     pass
 
 
+class DisconnectedDualGraph(InvalidModel):
+    """A dual graph in two pieces: no resolution of one normal point."""
+
+
 class ModelFileError(DomainError):
     pass
 

@@ -35,7 +35,7 @@ delta = (x + 1 - w + c) / q.
     |delta| < 1/d <= min(frac w, 1 - frac w) and
     ceil(w - 1 + delta) = floor(w).
 So for every q >= |d (x + 1) - n| + d the corner bound
-max(0, ceil((x + b_v(e)) / q)) of `_corner` does not depend on e, and
+max(0, ceil((x + b_v(e)) / q)) of `_trace_image` does not depend on e, and
 the depth-e image of an ideal I is one and the same ideal for every
 e >= E(I), the least e >= 1 with p^e at least that bound over the
 stairs of I and both rays (`_stable_depth`).  Along a staircase sorted
@@ -43,12 +43,12 @@ by s the pairing s rises and t falls, and the bound |d (x + 1) - n| + d
 is convex in x, so its maximum over the stairs sits at the first or the
 last stair: E(I) reads those two stairs only (`_depth_bound`).
 
-Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  `_closure` runs
-rounds; each works on Delta, the stairs that the previous round added
-(the seed's stairs first).  It takes the corners of every stair of Delta
-at every depth e = 1..E(Delta), keeps the minimal ones that the ideal
-does not already contain, and adds their corner modules.  It stops when
-a round finds no such corner, and so adds no stair.
+Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  At a prime p the
+closure runs rounds; each works on Delta, the stairs that the previous
+round added (the seed's stairs first).  It takes the corners of every
+stair of Delta at every depth e = 1..E(Delta), keeps the minimal ones
+that the ideal does not already contain, and merges in their corner
+modules (`_merge_stairs`).  It stops when a round adds no stair.
   * Every stair x of the result entered some Delta exactly once (a stair
     that stops being minimal never becomes minimal again), and its round
     applied the depths 1..E(Delta), which include 1..E({x}).  By the
@@ -68,17 +68,21 @@ a round finds no such corner, and so adds no stair.
 Run starts.  At depth e the corner of a stair (s, t) is
 ((s + c_l) // q, (t + c_r) // q), with q = p^e and c_v = ceil((q - 1) w_v)
 (`_closure`).  Along Delta sorted by s, s rises and t falls, so the
-s-corner does not decrease and the t-corner does not increase.  Within a
-run of stairs with equal t-corner, the first stair therefore has the
-least s-corner and the same t-corner: its corner is at most every other
-corner of the run in both coordinates, so its corner module holds
-theirs, and the run starts alone have the minimal corners of all of
-Delta.  The run after the one with t-corner ct starts at the first stair
-with t + c_r < ct q, which a bisection on -t finds (`_run_corners`).  A
-round makes one pass over Delta to list -t, and each depth then costs
-O(runs log |Delta|), not |Delta|.  The values (q, c_l, c_r) at depths 1, 2, ... form the closure's twist
-table: a round extends it only past its deepest entry, and every round
-reads it.
+s-corner does not decrease and the t-corner does not increase.  So the
+first stair of a run of equal t-corner has a corner at most every other
+corner of the run in both coordinates, and the run starts alone have the
+minimal corners of all of Delta.  The run after the one with t-corner ct
+starts at the first stair with t + c_r < ct q, which a bisection on -t
+finds (`_run_corners`): past one pass over Delta to list -t, each depth
+costs O(runs log |Delta|), not |Delta|.
+
+Lockstep.  `_closure` runs a sweep's primes in groups that share the
+ideal and Delta.  A round reads p only through p's twist table, the
+(q, c_l, c_r) at depths 1, 2, ..., so a group computes E's bound, the -t
+of Delta and each containment once.  Each prime extends its own table to
+its own E(Delta) and takes its own corners; primes with the same new
+corners share the next ideal and Delta, so one merge.  So each prime runs
+the rounds of its own closure; from the pair's seed all find floor(W).
 
 Corollary: tau(X, W) = O_X(-floor(W)), which is J(X, W) (`multiplier`),
 and the closure ends after at most two rounds.  At its stable depth a
@@ -96,7 +100,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .divisors import DivisorVector
+from .divisors import DivisorVector, _make_checked
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import LEFT, RIGHT, MonomialIdeal, Pair, Point, ToricSurfaceModel
@@ -138,6 +142,7 @@ class CharPContext(NamedTuple("CharPContext", [("p", int)])):
     """The characteristic p of the Frobenius trace maps."""
 
     __slots__ = ()
+    _make = _make_checked
 
     def __new__(cls, p):
         if not is_prime(p):
@@ -177,12 +182,6 @@ def trace_value(p: int, tm: TraceMap, u: Point):
     return (n0 // pe, n1 // pe)
 
 
-def _corner(q: int, bounds: Pair, stair: Pair) -> Pair:
-    """max(0, ceil((x + b_v) / q)) on both rays: the corner of the image
-    of one stair x at the bounds b (lemma in `_trace_image`)."""
-    return (max(0, _ceildiv(stair[0] + bounds[0], q)), max(0, _ceildiv(stair[1] + bounds[1], q)))
-
-
 def _trace_image(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[Pair, ...]) -> tuple[Pair, ...]:
     """The ideal of the x^w with <w, v> >= ceil((<u, v> + b_v) / q) on both
     boundary rays v, over the stairs u; b = `bounds`, q = p^e.  With
@@ -195,10 +194,10 @@ def _trace_image(model: ToricSurfaceModel, q: int, bounds: Pair, stairs: tuple[P
     iff q w - u lies in T_e + S = T_e (`trace_maps(e)` generates the
     S-module T_e), iff <w, v> >= ceil((<u, v> + b_v(e)) / q) on both rays.
 
-    A corner whose bounds dominate another's in both coordinates lies
-    inside it, so only the minimal bound pairs are expanded.
+    Stair x maps to the corner module at max(0, ceil((x + b_v) / q)), which
+    holds the module of every corner above it: only minimal ones expand.
     """
-    corners = _minimal_stairs(_corner(q, bounds, x) for x in stairs)
+    corners = _minimal_stairs((max(0, _ceildiv(s + bounds[0], q)), max(0, _ceildiv(t + bounds[1], q))) for s, t in stairs)
     return _minimal_stairs(pair for corner in corners for pair in corner_stairs(model, *corner))
 
 
@@ -213,9 +212,9 @@ def trace_apply(model: ToricSurfaceModel, ctx: CharPContext, tm: TraceMap, ideal
 # -- test ideals -----------------------------------------------------------
 
 
-def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> tuple[Pair, ...]:
-    """The staircase of O_X(-ceil(W)), W = wl B_left + wr B_right with
-    wl, wr >= 0: the x^a with <a, v> >= ceil(w_v) on both boundary rays v.
+def _seed(model: ToricSurfaceModel, nl: int, dl: int, nr: int, dr: int) -> tuple[Pair, ...]:
+    """The staircase of O_X(-ceil(W)), W = (nl/dl) B_left + (nr/dr) B_right,
+    nl, nr >= 0: the x^a with <a, v> >= ceil(w_v) on both boundary rays v.
     It lies in tau(X, W), so the closure of it is tau(X, W).
 
     Lemma: every such x^a lies in every nonzero ideal I closed under the
@@ -235,40 +234,35 @@ def _seed(model: ToricSurfaceModel, wl: Fraction, wr: Fraction) -> tuple[Pair, .
     the same ideal.  For W = 0 the seed is the unit ideal, and for integral
     W it is already tau, so the closure ends after one round.
     """
-    return corner_stairs(model, math.ceil(wl), math.ceil(wr))
+    return corner_stairs(model, _ceildiv(nl, dl), _ceildiv(nr, dr))
 
 
 def _depth_bound(nl: int, dl: int, nr: int, dr: int, stairs: tuple[Pair, ...]) -> int:
-    """The largest |d (x + 1) - n| + d over the stair pairings x of the
-    staircase `stairs` on each boundary ray, whose coefficient is
-    w_v = n/d (nl/dl on the left ray, nr/dr on the right).  The bound is
-    convex in x, and x runs monotonically along the staircase, so the
-    first and last stairs attain it (module docstring).  As s0 <= s1 and
-    t0 >= t1, the largest |d (x + 1) - n| + d over the two stairs is
-    d (x + 2) - n at the larger x or n - d x at the smaller."""
+    """The largest |d (x + 1) - n| + d over the stair pairings x of `stairs`
+    on each boundary ray v, w_v = n/d (nl/dl on the left, nr/dr on the
+    right).  Convex in x, which is monotone along a staircase, it peaks at
+    the first or last stair (module docstring): as s0 <= s1 and t0 >= t1,
+    at d (x + 2) - n for the larger x or n - d x for the smaller."""
     (s0, t0), (s1, t1) = stairs[0], stairs[-1]
     return max(dl * (s1 + 2) - nl, nl - dl * s0, dr * (t0 + 2) - nr, nr - dr * t1)
 
 
-def _stable_depth(p: int, nl: int, dl: int, nr: int, dr: int, stairs: tuple[Pair, ...]) -> int:
-    """E(I) of the stable-depth lemma: the least e >= 1 with p^e at least
-    the `_depth_bound` of the staircase `stairs` of I, sorted by s, for
-    w_left = nl/dl and w_right = nr/dr."""
-    bound = _depth_bound(nl, dl, nr, dr, stairs)
+def _stable_depth(p: int, bound: int) -> int:
+    """E(I) of the stable-depth lemma: the least e >= 1 with p^e >= `bound`,
+    the `_depth_bound` of I."""
     e, q = 1, p
     while q < bound:
         e, q = e + 1, q * p
     return e
 
 
-def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...]) -> list[Pair]:
+def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...], neg_t: list[int]) -> list[Pair]:
     """The corners ((s + c_l) // q, (t + c_r) // q) of the first stair of
     each run of equal t-corner along the staircase `delta`, at every
-    (q, c_l, c_r) of `twists`.  Every other stair's corner lies above its
-    run's first one (run starts, module docstring), so these have the
-    same minimal corners as all of them.  The next run starts at the first
-    stair with t < ct q - c_r, a bisection on -t."""
-    neg_t = [-t for _, t in delta]
+    (q, c_l, c_r) of `twists`: their minimal corners are those of all its
+    stairs (run starts, module docstring).  The next run starts at the
+    first stair with t < ct q - c_r, a bisection on `neg_t`, the -t of
+    `delta`."""
     n = len(delta)
     corners = []
     for q, cl, cr in twists:
@@ -281,57 +275,77 @@ def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...]) ->
     return corners
 
 
+def _merge_stairs(stairs: tuple[Pair, ...], added: list[Pair]) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
+    """The staircase of `stairs` and the sorted pairs `added`, and the stairs
+    of it only `added` holds (the next Delta), in one walk: a pair is a stair
+    iff its t is below every earlier t; a pair on both sides is from `stairs`."""
+    merged, fresh, best_t, i, n = [], [], math.inf, 0, len(stairs)
+    for pair in added:
+        while i < n and stairs[i] <= pair:
+            if stairs[i][1] < best_t:
+                best_t = stairs[i][1]
+                merged.append(stairs[i])
+            i += 1
+        if pair[1] < best_t:
+            best_t = pair[1]
+            merged.append(pair)
+            fresh.append(pair)
+    while i < n and stairs[i][1] >= best_t:
+        i += 1
+    return (*merged, *stairs[i:]), tuple(fresh)
+
+
 class TestIdealResult(NamedTuple):
     ideal: MonomialIdeal
     depth_used: int
 
 
-def _closure(model: ToricSurfaceModel, p: int, nl: int, dl: int, nr: int, dr: int, seed: tuple[Pair, ...]) -> tuple[tuple[Pair, ...], int]:
-    """Close the ideal with staircase `seed` in semi-naive rounds, each
-    mapping Delta, the stairs the last round added, at the depths
-    1..E(Delta) (module docstring), on bare ints and staircases, for
-    w_left = nl/dl and w_right = nr/dr; Delta stays sorted by s.  The
-    corner of `_corner` at the twist bound b_v(e) of a stair pairing x is
-    max(0, ceil((x + b_v(e)) / q)) = floor((x + ceil((q - 1) w_v)) / q),
-    as ceil(y / q) = floor((y + q - 1) / q) and x, w_v >= 0.  The twist
-    table holds (q, ceil((q - 1) w_left), ceil((q - 1) w_right)) at the
-    depths 1, 2, ..., and a round extends it only past its deepest entry.
-    A round sorts its run-start corners (`_run_corners`) once and walks
-    them: a corner is minimal when its t is below every earlier t, and
-    only a minimal corner is looked up in the staircase.
-    Returns the staircase and the depth used, the length of the twist
-    table: the largest depth any round applied."""
-    twists: list[tuple[int, int, int]] = []
-    stairs = delta = seed
-    while delta:
-        depth = _stable_depth(p, nl, dl, nr, dr, delta)
-        q = twists[-1][0] if twists else 1
-        for _ in range(len(twists), depth):
-            q *= p
-            twists.append((q, _ceildiv((q - 1) * nl, dl), _ceildiv((q - 1) * nr, dr)))
-        new, best_t = [], math.inf
-        for s, t in sorted(_run_corners(twists[:depth], delta)):
-            if t < best_t:
-                best_t = t
-                if not _stairs_contain(stairs, s, t):
-                    new.append((s, t))
-        if not new:
-            break
-        grown = _minimal_stairs(stairs + tuple(pair for c in new for pair in corner_stairs(model, *c)))
-        old = set(stairs)
-        stairs, delta = grown, tuple(pair for pair in grown if pair not in old)
-    return stairs, len(twists)
+def _closure(model: ToricSurfaceModel, primes: Sequence[int], nl: int, dl: int, nr: int, dr: int, seed: tuple[Pair, ...]) -> list[tuple[tuple[Pair, ...], int]]:
+    """Close the staircase `seed` at each of `primes` in lockstep rounds
+    (module docstring), w_left = nl/dl and w_right = nr/dr; a group is
+    (stairs, Delta sorted by s, primes).  At b_v(e) the corner of
+    `_trace_image` is floor((x + ceil((q - 1) w_v)) / q), as x, w_v >= 0.
+    A prime looks up only its minimal corners: sorted, each has t below
+    every earlier t.  Returns per prime the staircase and the depth used,
+    the length of its twist table of (q, c_l, c_r) at depths 1, 2, ..."""
+    tables, results = [[] for _ in primes], [None] * len(primes)
+    groups = [(seed, seed, range(len(primes)))]
+    while groups:
+        stairs, delta, members = groups.pop()
+        bound, neg_t = _depth_bound(nl, dl, nr, dr, delta), [-t for _, t in delta]
+        contained, by_new = {}, {}  # corner -> in the ideal; new corners -> their primes
+        for k in members:
+            p, twists = primes[k], tables[k]
+            depth = _stable_depth(p, bound)
+            while len(twists) < depth:
+                q = twists[-1][0] * p if twists else p
+                twists.append((q, -((1 - q) * nl // dl), -((1 - q) * nr // dr)))
+            new, best_t = [], math.inf
+            for corner in sorted(_run_corners(twists[:depth], delta, neg_t)):
+                if corner[1] < best_t:
+                    best_t = corner[1]
+                    if corner not in contained:
+                        contained[corner] = _stairs_contain(stairs, *corner)
+                    if not contained[corner]:
+                        new.append(corner)
+            by_new.setdefault(tuple(new), []).append(k)
+        for new, ks in by_new.items():
+            grown, fresh = _merge_stairs(stairs, sorted([pair for c in new for pair in corner_stairs(model, *c)]))
+            if fresh:
+                groups.append((grown, fresh, ks))
+            else:
+                for k in ks:
+                    results[k] = (stairs, len(tables[k]))
+    return results
 
 
 def test_ideal_sweep(pair: PairSpec, primes: Sequence[int]) -> list[tuple[tuple[Pair, ...], int]]:
     """(staircase of tau(X, lambda Z), depth used) at each of `primes`, in
-    order, all checked by `CharPContext` first: the seed and the integers
-    of W do not depend on p, so one pair's `_closure` calls share them."""
+    order, all checked by `CharPContext` first, by one lockstep `_closure`."""
     for p in primes:
         CharPContext(p)
-    model, wl, wr = pair.model, pair.w_left, pair.w_right
-    seed = _seed(model, wl, wr)
-    return [_closure(model, p, wl.numerator, wl.denominator, wr.numerator, wr.denominator, seed) for p in primes]
+    w = (pair.w_left.numerator, pair.w_left.denominator, pair.w_right.numerator, pair.w_right.denominator)
+    return _closure(pair.model, primes, *w, _seed(pair.model, *w))
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:

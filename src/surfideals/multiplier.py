@@ -79,6 +79,7 @@ class PairSpec(NamedTuple("PairSpec", [("model", ToricSurfaceModel), ("z", Divis
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))  # and so `_replace`: w_left, w_right are derived
 
     def __new__(cls, model, z, lam=Fraction(1)):
         lam = rat(lam)

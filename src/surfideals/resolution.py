@@ -24,12 +24,13 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from . import linalg
-from .divisors import DivisorLabel, DivisorVector, RatLike, rat
-from .errors import InvalidModel, NonEffectiveGamma, NotNegativeDefinite
+from .divisors import DivisorLabel, DivisorVector, RatLike, _make_checked, rat
+from .errors import DisconnectedDualGraph, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 
 
 class ExceptionalCurve(NamedTuple("ExceptionalCurve", [("label", DivisorLabel), ("self_intersection", int), ("genus", int)])):
     __slots__ = ()
+    _make = _make_checked
 
     def __new__(cls, label, self_intersection, genus=0):
         if label.kind != "exceptional":
@@ -49,6 +50,7 @@ class Extra(NamedTuple("Extra", [("label", DivisorLabel), ("meets", tuple[int, .
     """
 
     __slots__ = ()
+    _make = _make_checked
 
     def __new__(cls, label, meets):
         if label.kind == "exceptional":
@@ -60,10 +62,11 @@ class Extra(NamedTuple("Extra", [("label", DivisorLabel), ("meets", tuple[int, .
 
 class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[ExceptionalCurve, ...]), ("edges", tuple[linalg.Edge, ...]), ("extras", tuple[Extra, ...])])):
     __slots__ = ()
+    _make = _make_checked
 
     def __new__(cls, curves, edges, extras=()):
         n = len(curves)
-        pairs = set()
+        pairs, adjacent = set(), [[] for _ in curves]
         for i, j, m in edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise InvalidModel(f"edge ({i}, {j}) needs two distinct curve indices below {n}")
@@ -73,6 +76,9 @@ class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[Exceptiona
             pairs.add(pair)
             if m < 0:
                 raise InvalidModel("off-diagonal intersection numbers must be >= 0")
+            if m:
+                adjacent[i].append(j)
+                adjacent[j].append(i)
         names = [c.label.name for c in curves] + [x.label.name for x in extras]
         if len(set(names)) != len(names):
             raise InvalidModel("divisor labels must be unique within a model")
@@ -82,6 +88,15 @@ class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[Exceptiona
         self = tuple.__new__(cls, (curves, edges, extras))
         if not linalg.is_negative_definite(self.diagonal, edges):
             raise NotNegativeDefinite("intersection matrix is not negative definite")
+        # the exceptional set over one normal point is connected (Zariski's main theorem)
+        reached, todo = set(), [0][:n]
+        while todo:
+            if (v := todo.pop()) not in reached:
+                reached.add(v)
+                todo += adjacent[v]
+        if len(reached) < n:
+            k = min(set(range(n)) - reached)
+            raise DisconnectedDualGraph(f"curves[{k}] ({curves[k].label.name!r}) is not connected to curves[0] through the intersections; the dual graph must be connected")
         return self
 
     # -- structure --------------------------------------------------------

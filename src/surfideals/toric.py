@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .divisors import DivisorLabel, DivisorVector, RatLike, rat
+from .divisors import DivisorLabel, DivisorVector, RatLike, _make_checked, rat
 from .errors import BadParameters, EnumerationLimitExceeded, InvalidModel, NotIntegral
 from .resolution import ExceptionalCurve, Extra, ResolutionModel
 
@@ -101,6 +101,7 @@ class ToricSurfaceModel(NamedTuple("ToricSurfaceModel", [("r", int), ("a", int)]
     that the class keeps by declaring no `__slots__`."""
 
     v_left = (0, 1)
+    _make = _make_checked
 
     def __new__(cls, r, a):
         if not (isinstance(r, int) and isinstance(a, int)) or isinstance(r, bool) or isinstance(a, bool):

@@ -160,6 +160,9 @@ def _random_negative_definite(rng: random.Random) -> ResolutionModel:
     for i in range(n):
         for j in range(i + 1, n):
             off[i][j] = off[j][i] = rng.choice((0, 0, 0, 1, 1, 2))
+    for i in range(1, n):  # the dual graph over one point is connected: link a curve with no earlier neighbour
+        if not any(off[i][:i]):
+            off[i][i - 1] = off[i - 1][i] = 1
     curves = []
     for i in range(n):
         diag = -(sum(off[i]) + rng.randint(1, 4))

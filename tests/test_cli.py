@@ -81,13 +81,19 @@ def test_catalog_bytes_do_not_depend_on_jobs(capsys):
 def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
     # each function is wrapped with a counter wherever a module holds it,
     # as the benchmark's tracer wraps it: 45 models, 225 distinct pairs,
-    # one closure per distinct pair and prime
-    counted = {compare.compare_pair: 0, frobenius._closure: 0, toric.hj_resolve: 0}
+    # one lockstep closure per distinct pair, which closes each of its
+    # primes once and returns one result per prime
+    closure = frobenius._closure
+    counted = {compare.compare_pair: 0, closure: 0, toric.hj_resolve: 0}
+    closed = []
 
     def counter(fn):
         def wrapper(*args, **kwargs):
             counted[fn] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if fn is closure:
+                closed.append((tuple(args[1]), len(result)))
+            return result
         return wrapper
 
     wrappers = {fn: counter(fn) for fn in counted}
@@ -98,7 +104,8 @@ def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
                     if value is fn:
                         monkeypatch.setattr(mod, key, wrapper)
     _stdout(capsys, "compare", "catalog", "--primes", "2,3")
-    assert list(counted.values()) == [225, 450, 45]
+    assert list(counted.values()) == [225, 225, 45]
+    assert closed == [((2, 3), 2)] * 225
 
 
 ONE_OF_EACH = [

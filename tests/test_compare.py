@@ -150,9 +150,8 @@ def test_ideals_that_contain_each_other_have_equal_staircases():
                     assert _minimal_stairs(stairs) == stairs
         for _ in range(6):
             wl, wr = (Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(2))
-            for p in (2, 3, 5):
-                w = (wl.numerator, wl.denominator, wr.numerator, wr.denominator)
-                stairs, _ = frobenius._closure(model, p, *w, frobenius._seed(model, wl, wr))
+            w = (wl.numerator, wl.denominator, wr.numerator, wr.denominator)
+            for stairs, _ in frobenius._closure(model, (2, 3, 5), *w, frobenius._seed(model, *w)):
                 assert _minimal_stairs(stairs) == stairs
     assert mutual >= 150
 
@@ -161,21 +160,27 @@ def test_strict_verdicts_are_reported(monkeypatch):
     # a test ideal that shrinks at p = 2 gives a strict verdict there, records
     # its generators, and moves stable_from_prime to the next prime
     pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
-    real = frobenius._closure
-
-    def shrunk_at_two(model, p, *w_and_seed):
-        stairs, depth = real(model, p, *w_and_seed)
-        if p != 2:
-            return stairs, depth
-        return MonomialIdeal(model, stairs).intersect(MonomialIdeal(SMOOTH, X3Y3)).stairs, depth
-
-    monkeypatch.setattr(frobenius, "_closure", shrunk_at_two)
+    monkeypatch.setattr(frobenius, "_closure", _shrunk_closure((2,)))
     report = compare_pair(pair, primes=(2, 3, 5))
     assert [v.verdict for v in report.verdicts] == [MULTIPLIER_LARGER, EQUAL, EQUAL]
     assert report.stable_from_prime == 3 and not report.all_equal()
     shrunk = multiplier_ideal(pair).intersect(MonomialIdeal(SMOOTH, X3Y3))
     assert report.to_dict()["primes"][0]["test_ideal"] == [list(g) for g in shrunk.gens]
     assert "test_ideal" not in report.to_dict()["primes"][1]
+
+
+def _shrunk_closure(shrunk):
+    """`frobenius._closure` with the staircase at each prime of `shrunk`
+    cut down to its part inside (x^3 y^3)."""
+    real = frobenius._closure
+
+    def closure(model, primes, *w_and_seed):
+        return [
+            (MonomialIdeal(model, stairs).intersect(MonomialIdeal(model, X3Y3)).stairs if p in shrunk else stairs, depth)
+            for p, (stairs, depth) in zip(primes, real(model, primes, *w_and_seed))
+        ]
+
+    return closure
 
 
 def _old_stable_from_prime(verdicts):
@@ -195,15 +200,7 @@ def test_stable_from_prime_is_the_first_prime_of_the_equal_tail(monkeypatch, shr
     # a middle prime that disagrees moves stable_from_prime past it, and a
     # last prime that disagrees leaves no prime from which all agree
     pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
-    real = frobenius._closure
-
-    def shrunk_at(model, p, *w_and_seed):
-        stairs, depth = real(model, p, *w_and_seed)
-        if p not in shrunk:
-            return stairs, depth
-        return MonomialIdeal(model, stairs).intersect(MonomialIdeal(SMOOTH, X3Y3)).stairs, depth
-
-    monkeypatch.setattr(frobenius, "_closure", shrunk_at)
+    monkeypatch.setattr(frobenius, "_closure", _shrunk_closure(shrunk))
     report = compare_pair(pair, primes=(11, 2, 7, 3, 5))
     assert [v.verdict != EQUAL for v in report.verdicts] == [p in shrunk for p in (2, 3, 5, 7, 11)]
     assert report.stable_from_prime == stable == _old_stable_from_prime(report.verdicts)

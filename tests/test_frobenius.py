@@ -13,6 +13,7 @@ from surfideals.frobenius import (
     CharPContext,
     _closure,
     _depth_bound,
+    _merge_stairs,
     _run_corners,
     _seed,
     _stable_depth,
@@ -173,16 +174,31 @@ def test_seed_independence_over_catalog():
     models = [hj_resolve(r, a) for r in range(2, CATALOG_R_MAX + 1) for a in range(1, r) if math.gcd(r, a) == 1]
     for model in models:
         for lam in (Fraction(1, 2), Fraction(5, 4)):
-            deeper = _seed(model, lam + 1, lam + 1)[:1]
-            for p in (2, 3):
+            deeper = _seed(model, *_nd(lam + 1, lam + 1))[:1]
+            closed = _closure(model, (2, 3), *_nd(lam, lam), deeper)
+            for p, (stairs, _) in zip((2, 3), closed):
                 detail = tau_detailed(PairSpec(model, model.boundary_divisor(), lam), CharPContext(p))
-                w = (lam.numerator, lam.denominator) * 2
-                assert detail.ideal.stairs == _closure(model, p, *w, deeper)[0], (model, lam, p)
+                assert detail.ideal.stairs == stairs, (model, lam, p)
                 assert detail.depth_used >= 1
 
 
+def _merges(monkeypatch):
+    """The list to which every later `_merge_stairs` call appends its
+    arguments and its result."""
+    merges = []
+
+    def merge(stairs, added):
+        merged = real(stairs, added)
+        merges.append((stairs, tuple(added), merged))
+        return merged
+
+    real = frobenius._merge_stairs
+    monkeypatch.setattr(frobenius, "_merge_stairs", merge)
+    return merges
+
+
 def test_sweep_agrees_with_the_one_prime_path(monkeypatch):
-    # the sweep builds a pair's seed once and closes it at each prime; every
+    # the sweep closes a pair's seed at all its primes in lockstep; every
     # staircase and depth it returns is the one test_ideal_detailed computes
     # alone (tau does not depend on p on these pairs, the depth does)
     distinct = {}
@@ -202,9 +218,36 @@ def test_sweep_agrees_with_the_one_prime_path(monkeypatch):
         wild += r % sweep[-1] == 0
         cases.append((PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr})), sweep))
     assert wild >= 100
+    merges = _merges(monkeypatch)
     for pair, sweep in cases:
-        alone = [tau_detailed(pair, CharPContext(p)) for p in sweep]
+        alone, paths = [], set()
+        for p in sweep:
+            merges.clear()
+            alone.append(tau_detailed(pair, CharPContext(p)))
+            paths.add(tuple(merges))
+        # from the pair's own seed every prime's only new corner is
+        # (floor w_left, floor w_right) (the corollary in the frobenius
+        # module docstring), so all primes merge alike and no group splits
+        assert len(paths) == 1, (pair, sweep)
         assert tau_sweep(pair, sweep) == [(d.ideal.stairs, d.depth_used) for d in alone], (pair, sweep)
+    # the closure of a seed outside tau depends on p: primes whose one-prime
+    # runs merge differently must leave their group on the way (a split),
+    # and each still gets the staircase and depth of its own run
+    split = 0
+    for _ in range(300):
+        r = rng.randint(2, 40)
+        model = hj_resolve(r, rng.choice([a for a in range(1, r) if math.gcd(r, a) == 1]))
+        w = (rng.randint(0, 40), rng.randint(1, 12), rng.randint(0, 40), rng.randint(1, 12))
+        sweep = rng.sample(primes, 3) + [p for p in primes if r % p == 0][:1]
+        seed = corner_stairs(model, rng.randint(0, 5), rng.randint(0, 5))
+        alone, paths = [], set()
+        for p in sweep:
+            merges.clear()
+            alone += _closure(model, (p,), *w, seed)
+            paths.add(tuple(merges))
+        split += len(paths) > 1
+        assert _closure(model, sweep, *w, seed) == alone, (model, sweep, w, seed)
+    assert split >= 80
     # every prime is checked before any closure runs
     calls = []
     monkeypatch.setattr(frobenius, "_closure", lambda *args: calls.append(args))
@@ -213,18 +256,45 @@ def test_sweep_agrees_with_the_one_prime_path(monkeypatch):
     assert calls == []
 
 
+def test_a_group_ends_when_its_merge_adds_no_fresh_stair(monkeypatch):
+    # on A_1 with W = B_right the seed's corner (0, 1) is not below a stair,
+    # but its module's stairs are the seed's own: the merge adds no fresh
+    # stair, and every prime of the group stops with the seed
+    pair = PairSpec(A1, A1.divisor({RIGHT: 1}))
+    merges = _merges(monkeypatch)
+    sweep = tau_sweep(pair, PRIMES_DEFAULT)
+    seed = _seed(A1, 0, 1, 1, 1)
+    assert [(stairs, added, fresh) for stairs, added, (_, fresh) in merges] == [(seed, seed, ())]
+    assert sweep == [(d.ideal.stairs, d.depth_used) for d in (tau_detailed(pair, CharPContext(p)) for p in PRIMES_DEFAULT)]
+    assert {stairs for stairs, _ in sweep} == {seed}
+
+
+def test_merge_stairs_against_minimal_stairs():
+    # the walk gives the staircase of the sum that _minimal_stairs gives on
+    # the concatenation, and as fresh stairs exactly those not in `stairs`
+    rng = random.Random(58)
+    for model in [SMOOTH, A1, THIRD, hj_resolve(7, 3), hj_resolve(12, 5), hj_resolve(101, 37)]:
+        monoid = [(i, j) for i in range(12) for j in range(12) if model.in_monoid((i, j))]
+        for _ in range(60):
+            stairs = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 6))).stairs
+            added = sorted(model.pairing(u) for u in rng.sample(monoid, rng.randint(0, 8)))
+            merged = _minimal_stairs(stairs + tuple(added))
+            fresh = tuple(pair for pair in merged if pair not in stairs)
+            assert _merge_stairs(stairs, added) == (merged, fresh), (model, stairs, added)
+
+
 def test_seed_is_tau_for_integral_w():
     # the seed O_X(-ceil(W)) lies in tau, and for integral W it is tau
     for model in (SMOOTH, A1, THIRD, hj_resolve(7, 3), hj_resolve(12, 5)):
         for wl, wr in ((0, 0), (1, 0), (2, 3), (5, 1)):
             pair = PairSpec(model, model.divisor({LEFT: wl, RIGHT: wr}))
             for p in (2, 3, 7):
-                assert tau(pair, CharPContext(p)) == MonomialIdeal(model, _seed(model, Fraction(wl), Fraction(wr))), (model, wl, wr, p)
+                assert tau(pair, CharPContext(p)) == MonomialIdeal(model, _seed(model, wl, 1, wr, 1)), (model, wl, wr, p)
 
 
 def _nd(wl, wr):
     """The integers nl, dl, nr, dr of w_left = nl/dl and w_right = nr/dr,
-    as `_depth_bound` and `_stable_depth` take them."""
+    as `_seed`, `_depth_bound` and `_closure` take them."""
     return wl.numerator, wl.denominator, wr.numerator, wr.denominator
 
 
@@ -238,7 +308,7 @@ def test_stable_depth_lemma():
         for p in primes:
             wl, wr = (Fraction(rng.randint(0, 36), rng.randint(1, 12)) for _ in range(2))
             ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
-            stable = _stable_depth(p, *_nd(wl, wr), ideal.stairs)
+            stable = _stable_depth(p, _depth_bound(*_nd(wl, wr), ideal.stairs))
 
             def image(e):
                 q = p**e
@@ -270,7 +340,7 @@ def test_depth_bound_reads_the_end_stairs():
             p, e = rng.choice((2, 3, 5, 7, 31)), 1
             while p**e < bound:
                 e += 1
-            assert _stable_depth(p, *_nd(wl, wr), stairs) == e, (model, stairs, wl, wr, p)
+            assert _stable_depth(p, bound) == e, (model, stairs, wl, wr, p)
 
 
 def test_run_start_corners_have_the_minimal_corners_of_every_stair():
@@ -287,15 +357,15 @@ def test_run_start_corners_have_the_minimal_corners_of_every_stair():
             stairs = tuple(sorted(rng.sample(staircase, rng.randint(1, min(len(staircase), 60)))))
             wl, wr = (Fraction(rng.randint(0, 40), rng.randint(1, 12)) for _ in range(2))
             p = rng.choice(primes)
-            twists = []
-            for e in range(1, _stable_depth(p, *_nd(wl, wr), stairs) + 1):
+            twists, neg_t = [], [-t for _, t in stairs]
+            for e in range(1, _stable_depth(p, _depth_bound(*_nd(wl, wr), stairs)) + 1):
                 q = p**e
                 cl, cr = math.ceil((q - 1) * wl), math.ceil((q - 1) * wr)
                 twists.append((q, cl, cr))
                 every = _minimal_stairs(((s + cl) // q, (t + cr) // q) for s, t in stairs)
-                assert _minimal_stairs(_run_corners([(q, cl, cr)], stairs)) == every, (model, stairs, wl, wr, p, e)
+                assert _minimal_stairs(_run_corners([(q, cl, cr)], stairs, neg_t)) == every, (model, stairs, wl, wr, p, e)
             every = _minimal_stairs(((s + cl) // q, (t + cr) // q) for q, cl, cr in twists for s, t in stairs)
-            assert _minimal_stairs(_run_corners(twists, stairs)) == every, (model, stairs, wl, wr, p)
+            assert _minimal_stairs(_run_corners(twists, stairs, neg_t)) == every, (model, stairs, wl, wr, p)
 
 
 def test_adaptive_depth_reaches_the_fixed_point():
@@ -417,7 +487,7 @@ def test_floor_module_is_closed():
     for model, p, wl, wr in _random_pairs(84, 200, 1000):
         stairs = corner_stairs(model, math.floor(wl), math.floor(wr))
         module = MonomialIdeal(model, stairs)
-        for e in range(1, _stable_depth(p, *_nd(wl, wr), stairs) + 1):
+        for e in range(1, _stable_depth(p, _depth_bound(*_nd(wl, wr), stairs)) + 1):
             q = p**e
             image = MonomialIdeal(model, _trace_image(model, q, _twist_bounds(q, wl, wr), stairs))
             assert image.issubset(module), (model, p, wl, wr, e)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import dense
 from surfideals.divisors import DivisorLabel, DivisorVector
-from surfideals.errors import InvalidModel, NonEffectiveGamma, NotNegativeDefinite
+from surfideals.errors import DisconnectedDualGraph, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 from surfideals.resolution import (
     ExceptionalCurve,
     Extra,
@@ -49,6 +49,27 @@ def test_validation_rejects_bad_edges(edges, message):
     with pytest.raises(InvalidModel) as exc:
         ResolutionModel(TWO, edges)
     assert str(exc.value) == message
+
+
+def test_a_disconnected_dual_graph_is_refused():
+    # the exceptional set over one normal point is connected (Zariski's main
+    # theorem): two unlinked -2 curves would give discrepancies 0 and 0.  An
+    # edge of intersection 0 links nothing, and the first curve out of reach
+    # is named; a graph that is not negative definite says so first
+    message = "curves[{}] ('E{}') is not connected to curves[0] through the intersections; the dual graph must be connected"
+    four = tuple(ExceptionalCurve(DivisorLabel(f"E{i}"), -2) for i in range(1, 5))
+    for curves, edges, k in ((TWO, (), 1), (TWO, ((0, 1, 0),), 1), (four, ((0, 1, 0), (3, 0, 1), (1, 2, 1)), 1),
+                             (four, ((0, 1, 1), (1, 2, 1)), 3)):
+        with pytest.raises(DisconnectedDualGraph) as exc:
+            ResolutionModel(curves, edges)
+        assert isinstance(exc.value, InvalidModel) and str(exc.value) == message.format(k, k + 1)
+    assert ResolutionModel(four, ((0, 1, 1), (1, 2, 1), (2, 3, 1))).edges == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
+    assert ResolutionModel((), ()).curves == ()  # a smooth point: no exceptional curve
+    with pytest.raises(NotNegativeDefinite):
+        ResolutionModel(
+            (ExceptionalCurve(DivisorLabel("E1"), -1), ExceptionalCurve(DivisorLabel("E2"), -1), ExceptionalCurve(DivisorLabel("E3"), -2)),
+            ((0, 1, 2),),
+        )
 
 
 def test_validation_rejects_bad_matrices():
@@ -132,6 +153,9 @@ def random_negative_definite_model(rng, max_size=8):
     for i in range(n):
         for j in range(i + 1, n):
             off[i][j] = off[j][i] = rng.choice((0, 0, 0, 1, 1, 2))
+    for i in range(1, n):  # the dual graph over one point is connected: link a curve with no earlier neighbour
+        if not any(off[i][:i]):
+            off[i][i - 1] = off[i - 1][i] = 1
     curves = []
     for i in range(n):
         diag = -(sum(off[i]) + rng.randint(1, 3))

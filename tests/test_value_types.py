@@ -10,6 +10,7 @@ import pytest
 from surfideals import frobenius
 from surfideals.compare import EQUAL, CatalogEntry, ComparisonReport, PrimeVerdict
 from surfideals.divisors import DivisorLabel, DivisorVector
+from surfideals.errors import BadParameters, InvalidModel
 from surfideals.multiplier import PairSpec
 from surfideals.resolution import ExceptionalCurve, Extra, ResolutionModel
 from surfideals.toric import MonomialIdeal, hj_resolve
@@ -68,3 +69,50 @@ def test_a_pair_normalises_lambda_and_derives_w():
     assert (pair.w_left, pair.w_right) == (Fraction(3, 2), Fraction(1, 4))
     with pytest.raises(TypeError):
         PairSpec(model, model.boundary_divisor(), 0.5)
+
+
+E1, E2 = ExceptionalCurve(DivisorLabel("E1"), -2), ExceptionalCurve(DivisorLabel("E2"), -2)
+C = DivisorLabel("C", "strict-transform")
+MODEL = hj_resolve(7, 3)
+
+# name -> (fields a `_replace` changes to, the value the constructor builds
+# from them, fields the constructor refuses, what `_make` is given that the
+# constructor refuses, the error)
+CHECKED = {
+    "DivisorLabel": ({"kind": "boundary"}, DivisorLabel("E1", "boundary"), {"kind": "bogus"}, ("E1", "bogus"), ValueError),
+    "ExceptionalCurve": ({"genus": 1}, ExceptionalCurve(DivisorLabel("E1"), -2, 1), {"self_intersection": 0},
+                         (DivisorLabel("BL", "boundary"), 5, -1), InvalidModel),
+    "Extra": ({"meets": (2,)}, Extra(C, (2,)), {"meets": (-1,)}, (DivisorLabel("E1"), (1,)), InvalidModel),
+    "ResolutionModel": ({"curves": (E1, E2), "edges": ((0, 1, 1),), "extras": ()}, ResolutionModel((E1, E2), ((0, 1, 1),)),
+                        {"curves": (E1, E2), "extras": ()}, ((E1,), ((0, 0, 1),), ()), InvalidModel),
+    "ToricSurfaceModel": ({"a": 2}, hj_resolve(7, 2), {"a": 7}, (4, 2), BadParameters),
+    "PairSpec": ({"lam": 2}, PairSpec(MODEL, MODEL.boundary_divisor(), 2), {"lam": -1},
+                 (MODEL, MODEL.boundary_divisor(), 0.5), (InvalidModel, TypeError)),
+    "CharPContext": ({"p": 7}, frobenius.CharPContext(7), {"p": 4}, (9,), InvalidModel),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_replace_and_make_go_through_the_constructor(name):
+    # a NamedTuple's _replace and _make build the tuple directly; these
+    # types check their fields in __new__, so both must go through it
+    changes, expected, refused, fields, error = CHECKED[name]
+    value = BUILDERS[name]()
+    changed = value._replace(**changes)
+    assert changed == expected and tuple(changed) == tuple(expected) and type(changed) is type(expected)
+    with pytest.raises(error):
+        value._replace(**refused)
+    with pytest.raises(error):
+        type(value)._make(fields)
+    assert type(value)._make(tuple(expected)) == expected
+
+
+def test_a_replaced_pair_derives_its_w_again():
+    # PairSpec(5/2, boundary, 1/2)._replace(lam=2) used to keep lam the int 2
+    # and w_left 1/2; w_left and w_right follow from model, z and lam only
+    model = hj_resolve(5, 2)
+    pair = PairSpec(model, model.boundary_divisor(), "1/2")._replace(lam=2)
+    assert type(pair.lam) is Fraction and (pair.lam, pair.w_left, pair.w_right) == (2, 2, 2)
+    assert tuple(pair._replace(w_left=Fraction(1), w_right=Fraction(0))) == tuple(pair)
+    assert PairSpec._make((model, model.boundary_divisor())) == PairSpec(model, model.boundary_divisor())
+
