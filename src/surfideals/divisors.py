@@ -126,8 +126,8 @@ class DivisorVector:
         """Componentwise <= over the union of supports (a partial order)."""
         if not isinstance(other, DivisorVector):
             return NotImplemented
-        labels = set(self.support) | set(other.support)
-        return all(self.coeff(l) <= other.coeff(l) for l in labels)
+        mine, theirs = dict(self._items), dict(other._items)
+        return all(mine.get(l, 0) <= theirs.get(l, 0) for l in mine.keys() | theirs.keys())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DivisorVector) and self._items == other._items

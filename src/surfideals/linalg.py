@@ -12,8 +12,9 @@ fill edges.
 The pivots of a symmetric elimination, in any order, are the diagonal of
 a matrix congruent to M (M = P L D L^T P^T).  By Sylvester's law of
 inertia M is negative definite exactly when every pivot is negative, so
-the pass that solves also decides definiteness.  It stops at the first
-pivot >= 0, before dividing by it.  All arithmetic is in Fractions.
+the pass that factors M also decides definiteness.  It stops at the first
+pivot >= 0, before dividing by it; otherwise `substitute` solves M x = rhs
+on its steps, for any rhs.  All arithmetic is in Fractions.
 """
 
 from __future__ import annotations
@@ -64,14 +65,9 @@ def is_negative_definite(diag: Sequence[int], edges: Sequence[Edge]) -> bool:
     return _eliminate(diag, edges) is not None
 
 
-def solve(diag: Sequence[int], edges: Sequence[Edge], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """The exact x with M x = rhs, for M negative definite: one forward pass
-    over the elimination steps, then one back pass in reverse order."""
-    if len(rhs) != len(diag):
-        raise ValueError("rhs length mismatch")
-    steps = _eliminate(diag, edges)
-    if steps is None:
-        raise NotNegativeDefinite("intersection matrix is not negative definite")
+def substitute(steps: Sequence[tuple[int, Fraction, dict]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """The exact x with M x = rhs, given the steps of M's elimination: one
+    forward pass over the steps, then one back pass in reverse order."""
     x = list(map(Fraction, rhs))
     for v, pivot, nbrs in steps:
         xv = x[v] / pivot
@@ -80,3 +76,13 @@ def solve(diag: Sequence[int], edges: Sequence[Edge], rhs: Sequence[Fraction]) -
     for v, pivot, nbrs in reversed(steps):
         x[v] = (x[v] - sum(w * x[u] for u, w in nbrs.items())) / pivot
     return x
+
+
+def solve(diag: Sequence[int], edges: Sequence[Edge], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """The exact x with M x = rhs, for M negative definite."""
+    if len(rhs) != len(diag):
+        raise ValueError("rhs length mismatch")
+    steps = _eliminate(diag, edges)
+    if steps is None:
+        raise NotNegativeDefinite("intersection matrix is not negative definite")
+    return substitute(steps, rhs)

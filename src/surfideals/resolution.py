@@ -6,11 +6,14 @@ curves' self-intersections and the edges (i, j, E_i . E_j), one per
 pair, as a model file lists them), and optional non-exceptional
 divisors ("extras": strict transforms or boundary components) through
 their intersection numbers with the E_i.  The intersection matrix is
-never stored: `linalg` eliminates the graph, leaves first, and its
-pivots decide negative definiteness (the classical contractibility
-criterion) by Sylvester's law of inertia.  The dual graph of a rational
-singularity is a tree (Artin, 1966), and there a solve is O(n) exact
-steps.
+never stored: `linalg` eliminates the graph, leaves first, once, and the
+model keeps the steps in its instance dict (the class has no `__slots__`).
+Their pivots decide negative definiteness (the classical contractibility
+criterion) by Sylvester's law of inertia, and each solve is their two
+substitution passes, O(n) exact steps on a tree, as the dual graph of a
+rational singularity is (Artin, 1966).  They also give connectivity: a
+curve's neighbours at its step lie in its component and go later (fill
+edges join them), so one reverse pass labels a component by its last curve.
 
 On this data the module computes Mumford's numerical pullback, the
 numerical relative canonical divisor K_Y - pi*_num(K_X) whose
@@ -61,12 +64,12 @@ class Extra(NamedTuple("Extra", [("label", DivisorLabel), ("meets", tuple[int, .
 
 
 class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[ExceptionalCurve, ...]), ("edges", tuple[linalg.Edge, ...]), ("extras", tuple[Extra, ...])])):
-    __slots__ = ()
     _make = _make_checked
+    __reduce__ = lambda self: (type(self), tuple(self))  # a pickle or copy holds the fields, not the steps
 
     def __new__(cls, curves, edges, extras=()):
         n = len(curves)
-        pairs, adjacent = set(), [[] for _ in curves]
+        pairs = set()
         for i, j, m in edges:
             if not (0 <= i < n and 0 <= j < n and i != j):
                 raise InvalidModel(f"edge ({i}, {j}) needs two distinct curve indices below {n}")
@@ -76,9 +79,6 @@ class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[Exceptiona
             pairs.add(pair)
             if m < 0:
                 raise InvalidModel("off-diagonal intersection numbers must be >= 0")
-            if m:
-                adjacent[i].append(j)
-                adjacent[j].append(i)
         names = [c.label.name for c in curves] + [x.label.name for x in extras]
         if len(set(names)) != len(names):
             raise InvalidModel("divisor labels must be unique within a model")
@@ -86,17 +86,16 @@ class ResolutionModel(NamedTuple("ResolutionModel", [("curves", tuple[Exceptiona
             if len(x.meets) != n:
                 raise InvalidModel(f"extra {x.label.name!r} has {len(x.meets)} intersection numbers, expected {n}")
         self = tuple.__new__(cls, (curves, edges, extras))
-        if not linalg.is_negative_definite(self.diagonal, edges):
+        self._steps = linalg._eliminate(self.diagonal, edges)
+        if self._steps is None:
             raise NotNegativeDefinite("intersection matrix is not negative definite")
         # the exceptional set over one normal point is connected (Zariski's main theorem)
-        reached, todo = set(), [0][:n]
-        while todo:
-            if (v := todo.pop()) not in reached:
-                reached.add(v)
-                todo += adjacent[v]
-        if len(reached) < n:
-            k = min(set(range(n)) - reached)
-            raise DisconnectedDualGraph(f"curves[{k}] ({curves[k].label.name!r}) is not connected to curves[0] through the intersections; the dual graph must be connected")
+        root = [0] * n
+        for v, _, nbrs in reversed(self._steps):
+            root[v] = root[next(iter(nbrs))] if nbrs else v
+        for k in range(n):
+            if root[k] != root[0]:
+                raise DisconnectedDualGraph(f"curves[{k}] ({curves[k].label.name!r}) is not connected to curves[0] through the intersections; the dual graph must be connected")
         return self
 
     # -- structure --------------------------------------------------------
@@ -144,14 +143,13 @@ def relative_canonical(model: ResolutionModel) -> DivisorVector:
     The coefficient of E_i is its (numerical) discrepancy: the unique
     exceptional a with (K_Y - sum a_i E_i) . E_j = 0 for every j.
     """
-    k_dots = [Fraction(v) for v in model.canonical_intersections()]
-    a = linalg.solve(model.diagonal, model.edges, k_dots)
+    a = linalg.substitute(model._steps, model.canonical_intersections())
     return DivisorVector(zip(model.labels, a))
 
 
 def discrepancies(model: ResolutionModel) -> dict[str, Fraction]:
-    rc = relative_canonical(model)
-    return {c.label.name: rc.coeff(c.label) for c in model.curves}
+    coeffs = dict(relative_canonical(model).items())
+    return {c.label.name: coeffs.get(c.label, Fraction(0)) for c in model.curves}
 
 
 def numerical_pullback(model: ResolutionModel, coeffs: Mapping[str, RatLike]) -> DivisorVector:
@@ -162,7 +160,7 @@ def numerical_pullback(model: ResolutionModel, coeffs: Mapping[str, RatLike]) ->
     """
     strict = DivisorVector([(model.extra_by_name(n).label, rat(c)) for n, c in coeffs.items()])
     dots = model.intersect_with_curves(strict)
-    a = linalg.solve(model.diagonal, model.edges, [-d for d in dots])
+    a = linalg.substitute(model._steps, [-d for d in dots])
     return strict + DivisorVector(zip(model.labels, a))
 
 
@@ -188,17 +186,12 @@ def negativity_check(model, d: DivisorVector) -> bool:
 def pair_inequality_check(model: ResolutionModel, gamma: Mapping[str, RatLike]) -> bool:
     """K_Y - pi*_num(K_X + Gamma) <= K_Y - pi*_num(K_X) on exceptional labels.
 
-    Gamma is an effective divisor on X given through extras.  Holds for
-    every effective Gamma because the inverse intersection matrix has
-    nonpositive entries.
+    Gamma is an effective divisor on X given through extras.  By linearity
+    the sides differ by the exceptional part of pi*_num(Gamma), which is
+    >= 0 because the inverse intersection matrix has nonpositive entries:
+    the check is that pi*_num(Gamma) (strict part Gamma >= 0) is effective.
     """
     g = {name: rat(c) for name, c in gamma.items()}
     if any(c < 0 for c in g.values()):
         raise NonEffectiveGamma("Gamma must have nonnegative coefficients")
-    k_dots = [Fraction(v) for v in model.canonical_intersections()]
-    strict = DivisorVector([(model.extra_by_name(n).label, c) for n, c in g.items()])
-    g_dots = model.intersect_with_curves(strict)
-    # pullback of K_X + Gamma has exceptional part a with M a = -(K+Gamma).E
-    a = linalg.solve(model.diagonal, model.edges, [-(kd + gd) for kd, gd in zip(k_dots, g_dots)])
-    lhs = DivisorVector(zip(model.labels, (-ai for ai in a)))
-    return lhs <= relative_canonical(model)
+    return numerical_pullback(model, g).is_effective()

@@ -8,7 +8,8 @@ box of monoid points under the twisted trace maps themselves, with no
 corner formula and no stable-depth bound.  The determinant oracle is
 dense Gaussian elimination over Fractions with row swaps, where the
 production solver eliminates a sparse graph in its own order and never
-forms a determinant.
+forms a determinant.  The connectivity oracle searches the graph from its
+first curve, where a model reads its components off its elimination.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ def leading_minors(matrix) -> tuple[int, ...]:
     """Determinants of the leading principal k x k submatrices, k=1..n: the
     Sylvester oracle for `is_negative_definite`, one determinant per minor."""
     return tuple(determinant([row[: k + 1] for row in matrix[: k + 1]]) for k in range(len(matrix)))
+
+
+def reached_from_first(n: int, edges) -> set[int]:
+    """The vertices a search from vertex 0 reaches over the edges (i, j, m)
+    with m != 0, for a graph on n vertices."""
+    adjacent = [[] for _ in range(n)]
+    for i, j, m in edges:
+        if m:
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+    reached, todo = set(), [0][:n]
+    while todo:
+        if (v := todo.pop()) not in reached:
+            reached.add(v)
+            todo += adjacent[v]
+    return reached
 
 
 def _undivided(pairs: dict) -> list:

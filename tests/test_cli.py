@@ -1,10 +1,12 @@
 import argparse
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 from conftest import dense, leading_minors
 from test_linalg import _naive_gauss
+import surfideals
 from surfideals import compare, frobenius, linalg, multiplier, resolution, toric
-from surfideals.cli import COMMANDS, _WrittenOnce, build_parser, emit, main
+from surfideals.cli import COMMANDS, _WrittenOnce, build_parser, emit, load_model, main
 from surfideals.divisors import DivisorLabel
 from surfideals.toric import MonomialIdeal, hj_resolve
 
@@ -671,7 +674,7 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     # K^num is linear on a toric model, so no intersection matrix is built
     # or solved: each function below raises wherever it is referenced, and
     # the caches are emptied so that no earlier result hides a call
-    forbidden = (linalg.solve, linalg.is_negative_definite, toric.to_resolution)
+    forbidden = (linalg.solve, linalg.substitute, linalg._eliminate, linalg.is_negative_definite, toric.to_resolution)
 
     def refuse(*args, **kwargs):
         raise AssertionError("linear algebra on the toric path")
@@ -687,6 +690,32 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]
+
+
+def test_the_section_cache_is_the_only_cache_and_sees_only_models(capsys, monkeypatch):
+    # a toric model equals, and hashes as, the plain tuple (r, a), so a cache
+    # that a tuple key could reach would mix the two: the one functools cache
+    # of the package is keyed by models only, and a new cache fails here
+    # until it is reviewed
+    modules = [importlib.import_module(f"surfideals.{info.name}") for info in pkgutil.iter_modules(surfideals.__path__)]
+    scopes = [(mod, mod.__name__, vars(mod)) for mod in modules]
+    scopes += [(mod, f"{mod.__name__}.{name}", vars(cls)) for mod in modules for name, cls in vars(mod).items()
+               if isinstance(cls, type) and cls.__module__ == mod.__name__]
+    caches = {f"{where}.{name}" for mod, where, scope in scopes for name, value in scope.items()
+              if hasattr(value, "cache_info") and getattr(value, "__module__", None) == mod.__name__}
+    assert caches == {"surfideals.toric._section_min_gens_cached"}
+    cached, keys = toric._section_min_gens_cached, []
+
+    def guarded(model, *args):
+        assert type(model) is toric.ToricSurfaceModel, model
+        keys.append(model)
+        return cached(model, *args)
+
+    monkeypatch.setattr(toric, "_section_min_gens_cached", guarded)
+    for argv in [("compare", "catalog"), *{argv[0]: argv for argv in sorted(TORIC_PATH_SHA256)}.values()]:
+        assert main(list(argv)) == 0, argv
+        capsys.readouterr()
+    assert {(model.r, model.a) for model in keys} >= {(12, 7), (13, 5), (9, 2), (11, 4)}
 
 
 @pytest.mark.parametrize("kind", ["address", "file"])
@@ -814,22 +843,47 @@ def test_star_tree_outputs_are_pinned(capsys, tmp_path, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == STAR_TREE_SHA256[argv]
 
 
-def test_discrepancy_solves_one_linear_system(capsys, monkeypatch, tmp_path):
-    # on a dual graph the discrepancies are read off the relative canonical
-    # divisor the command has already solved for (a cyclic model solves none)
-    path = tmp_path / "a63.json"
-    path.write_text(json.dumps({
-        "kind": "dualgraph",
-        "curves": [{"label": f"E{i}", "self_intersection": -2} for i in range(1, 64)],
-        "intersections": [[i, i + 1, 1] for i in range(62)],
-    }))
-    solves = []
-    solve = linalg.solve
-    monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(args) or solve(*args))
-    code, doc = run_cli(capsys, "discrepancy", str(path))
-    assert code == 0
-    assert len(solves) == 1
-    assert doc["discrepancies"] == {f"E{i}": "0" for i in range(1, 64)}
+def _count_calls(monkeypatch, module, *names) -> dict[str, int]:
+    """Count the calls of each module.name, reached through the module."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+# command -> (its arguments after the star tree's path, its substitutions)
+STAR_TREE_SOLVES = {
+    "discrepancy": ((), 1),
+    "mult-ideal": (("--z", '{"C": "3/2", "D": "1/3"}', "--lambda", "1/2"), 2),
+    "pullback": (("--d", '{"C": "1", "D": "2/3"}'), 1),
+    "check-negativity": (("--d", '{"E1": "-1", "C": "-1"}'), 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAR_TREE_SOLVES))
+def test_dual_graph_commands_eliminate_once(capsys, monkeypatch, tmp_path, command):
+    # the model's definiteness check is the graph's only elimination: K^num,
+    # the pullback and the discrepancies substitute into its steps
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(_star_tree()))
+    tail, substitutions = STAR_TREE_SOLVES[command]
+    calls = _count_calls(monkeypatch, linalg, "_eliminate", "substitute")
+    code, _ = _stdout(capsys, command, str(path), *tail)
+    assert code == 0 and calls == {"_eliminate": 1, "substitute": substitutions}
+
+
+def test_a_built_model_solves_without_eliminating(monkeypatch, tmp_path):
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(_star_tree()))
+    model = load_model(str(path))
+    calls = _count_calls(monkeypatch, linalg, "_eliminate", "substitute")
+    resolution.relative_canonical(model)
+    resolution.numerical_pullback(model, {"C": 1})
+    assert resolution.pair_inequality_check(model, {"C": "3/2", "D": "1/3"})
+    assert calls == {"_eliminate": 0, "substitute": 3}
 
 
 @pytest.mark.parametrize(

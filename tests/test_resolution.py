@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import dense
+from conftest import dense, reached_from_first
+from test_acceptance import _random_negative_definite
 from surfideals.divisors import DivisorLabel, DivisorVector
+from surfideals.linalg import solve
 from surfideals.errors import DisconnectedDualGraph, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
 from surfideals.resolution import (
     ExceptionalCurve,
@@ -70,6 +73,35 @@ def test_a_disconnected_dual_graph_is_refused():
             (ExceptionalCurve(DivisorLabel("E1"), -1), ExceptionalCurve(DivisorLabel("E2"), -1), ExceptionalCurve(DivisorLabel("E3"), -2)),
             ((0, 1, 2),),
         )
+
+
+def test_connectivity_against_a_graph_search():
+    # the model labels components off its elimination steps; the oracle
+    # searches the graph.  Some graphs have cycles (so fill edges), some an
+    # edge of intersection 0, some a curve that meets no other, and the
+    # diagonal dominates each row, so every matrix is negative definite
+    message = "curves[{}] ('E{}') is not connected to curves[0] through the intersections; the dual graph must be connected"
+    rng, kinds = random.Random(27), Counter()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.4, 0.7))
+        edges = [(i, j, rng.choice((0, 1, 1, 2))) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
+        edges = [(j, i, m) if rng.random() < 0.5 else (i, j, m) for i, j, m in rng.sample(edges, len(edges))]
+        weight = Counter()
+        for i, j, m in edges:
+            weight[i] += m
+            weight[j] += m
+        curves = tuple(ExceptionalCurve(DivisorLabel(f"E{i + 1}"), -weight[i] - rng.randint(1, 3)) for i in range(n))
+        missed = set(range(n)) - reached_from_first(n, edges)
+        kinds.update({"disconnected": bool(missed), "connected": not missed, "cycle": sum(m > 0 for *_, m in edges) >= n,
+                      "zero edge": any(m == 0 for *_, m in edges), "isolated curve": n > 1 and any(weight[i] == 0 for i in range(n))})
+        if missed:
+            with pytest.raises(DisconnectedDualGraph) as exc:
+                ResolutionModel(curves, tuple(edges))
+            assert str(exc.value) == message.format(min(missed), min(missed) + 1)
+        else:
+            assert ResolutionModel(curves, tuple(edges)).curves == curves
+    assert min(kinds.values()) >= 40, kinds
 
 
 def test_validation_rejects_bad_matrices():
@@ -165,8 +197,6 @@ def random_negative_definite_model(rng, max_size=8):
 
 
 def test_negativity_fuzz():
-    from surfideals.linalg import solve
-
     rng = random.Random(2024)
     for _ in range(100):
         model = random_negative_definite_model(rng)
@@ -193,6 +223,34 @@ def test_pair_inequality_rejects_negative_gamma():
     model = single_curve_model(-3)
     with pytest.raises(NonEffectiveGamma):
         pair_inequality_check(model, {"C": Fraction(-1, 2)})
+
+
+def test_pair_inequality_reports_a_negative_gamma_before_an_unknown_name():
+    model = single_curve_model(-3)
+    with pytest.raises(NonEffectiveGamma):
+        pair_inequality_check(model, {"X": -1})
+    with pytest.raises(InvalidModel) as exc:
+        pair_inequality_check(model, {"X": 1})
+    assert str(exc.value) == "model has no extra divisor named 'X'"
+
+
+def test_pair_inequality_against_two_solves():
+    # both sides solved for as the docstring states them, against the one
+    # solve of the check: by linearity their difference is the exceptional
+    # part of pi*_num(Gamma)
+    rng = random.Random(2026)
+    for _ in range(200):
+        base = _random_negative_definite(rng)
+        model = ResolutionModel(base.curves, base.edges, (Extra(C, tuple(rng.randint(0, 2) for _ in base.curves)),))
+        gamma = {"C": Fraction(rng.randint(0, 9), rng.randint(1, 4))}
+        k_dots = [Fraction(v) for v in model.canonical_intersections()]
+        g_dots = model.intersect_with_curves(DivisorVector([(C, gamma["C"])]))
+        a = solve(model.diagonal, model.edges, [-(k + g) for k, g in zip(k_dots, g_dots)])
+        lhs = DivisorVector(zip(model.labels, (-ai for ai in a)))
+        rc = DivisorVector(zip(model.labels, solve(model.diagonal, model.edges, k_dots)))
+        assert pair_inequality_check(model, gamma) == (lhs <= rc)
+        pullback = numerical_pullback(model, gamma)
+        assert rc - lhs == DivisorVector((label, c) for label, c in pullback.items() if label.kind == "exceptional")
 
 
 def test_pair_inequality_fuzz():

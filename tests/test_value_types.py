@@ -2,6 +2,7 @@
 reassigned, and equal values are equal and hash equal.  Those that check
 their fields do it in the constructor, so every value is a valid one."""
 
+import copy
 import pickle
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from surfideals.compare import EQUAL, CatalogEntry, ComparisonReport, PrimeVerdi
 from surfideals.divisors import DivisorLabel, DivisorVector
 from surfideals.errors import BadParameters, InvalidModel
 from surfideals.multiplier import PairSpec
-from surfideals.resolution import ExceptionalCurve, Extra, ResolutionModel
+from surfideals.resolution import ExceptionalCurve, Extra, ResolutionModel, numerical_pullback
 from surfideals.toric import MonomialIdeal, hj_resolve
 
 # name -> a function building one value of the type, afresh on each call
@@ -116,3 +117,12 @@ def test_a_replaced_pair_derives_its_w_again():
     assert tuple(pair._replace(w_left=Fraction(1), w_right=Fraction(0))) == tuple(pair)
     assert PairSpec._make((model, model.boundary_divisor())) == PairSpec(model, model.boundary_divisor())
 
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_resolution_model_is_rebuilt_from_its_fields(protocol):
+    # the elimination steps live beside the fields: a pickle or a copy holds
+    # the fields only, and loading it goes through the constructor again
+    model = ResolutionModel((E1, E2), ((0, 1, 1),), (Extra(C, (1, 0)),))
+    for other in (pickle.loads(pickle.dumps(model, protocol)), copy.copy(model), copy.deepcopy(model)):
+        assert other == model and numerical_pullback(other, {"C": 1}) == numerical_pullback(model, {"C": 1})
+    assert b"_steps" not in pickle.dumps(model, protocol)
