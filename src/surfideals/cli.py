@@ -341,13 +341,7 @@ def cmd_test_ideal(args) -> dict:
 def cmd_compare(args) -> dict:
     primes = parse_primes(args.primes)
     if args.model == "catalog":
-        if args.jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only the pooled path pays for the import
-
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = compare_mod.compare_catalog(primes, map=pool.map)
-        else:
-            reports = compare_mod.compare_catalog(primes)
+        reports = compare_mod.compare_catalog(primes)
         # reports with equal verdicts share one `primes` list, written once
         written: dict = {}
         docs = []
@@ -396,7 +390,7 @@ def cmd_catalog(_args) -> dict:
 
 
 def _jobs(text: str) -> int:
-    """A --jobs value: an integer of at least 1; anything else is a usage error."""
+    """A --jobs value: an integer of at least 1, which selects nothing; anything else is a usage error."""
     try:
         jobs = int(text)
     except ValueError:

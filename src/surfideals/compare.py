@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .divisors import DivisorVector
 from .frobenius import test_ideal_detailed, test_ideal_sweep  # noqa: F401  (an alias perfbench's tracer test reads)
@@ -182,16 +182,16 @@ def compare_entry(entry: CatalogEntry, primes: Sequence[int] = PRIMES_DEFAULT) -
     return compare_pair(entry.pair(), primes=primes)
 
 
-def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map) -> list[ComparisonReport]:
+def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT) -> list[ComparisonReport]:
     """The report of every catalog entry, in catalog order.
 
     Each model is resolved once.  An entry's W = lambda Z is 0 when
     lambda = 0 or Z = 0, and those entries of one model are one pair;
     any other entry is keyed by its Z and the numerator and denominator
     of lambda (a Fraction hashes slowly).  Each distinct key gets one
-    `PairSpec`, which validates it, and one `compare_pair` call, made
-    through `map` over the distinct pairs (`compare catalog --jobs N`
-    passes a thread pool's).  Each entry gets that report under its own id.
+    `PairSpec`, which validates it; then each distinct pair gets one
+    `compare_pair` call, in order.  Each entry gets that report under its
+    own id.
     """
     entries = catalog_entries()
     models = {key: hj_resolve(*key) for key in dict.fromkeys((e.r, e.a) for e in entries)}
@@ -202,6 +202,6 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT, map: Callable = map)
         if key not in distinct:
             model = models[e.r, e.a]
             distinct[key] = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
-    reports = map(lambda pair: compare_pair(pair, primes), distinct.values())
+    reports = [compare_pair(pair, primes) for pair in distinct.values()]
     shared = {key: (rep.multiplier_gens, rep.verdicts, rep.stable_from_prime) for key, rep in zip(distinct, reports)}
     return [ComparisonReport(e.entry_id, *shared[key]) for e, key in zip(entries, keys)]

@@ -14,9 +14,8 @@ through the support function ell_K of K_X = -(B_left + B_right)
 (`toric.support_function`), and K^num is -1 - <ell_K, v> on each ray v:
 zero on the boundary rays, the discrepancy on the exceptional ones.
 Every command on a cyclic model takes K^num, pullbacks and intersection
-numbers from the fan.  A dual graph has no fan: there K^num is solved
-for on the graph (`resolution.relative_canonical`, used by
-`numerical_multiplier_divisor`).
+numbers from the fan.  A dual graph has no fan: there K^num - pi*_num W
+is solved for on the graph, in one solve (`numerical_multiplier_divisor`).
 
 Theorem: J(X, W) = O_X(-floor(W)) for W = w_left B_left + w_right B_right
 with w_v >= 0 (Howald 2001; Blickle 2004).  K^num - pi^* W is
@@ -42,9 +41,9 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from . import linalg
 from .divisors import DivisorVector, RatLike, rat
 from .errors import BadParameters, InvalidModel, NonEffectiveGamma
-from .resolution import numerical_pullback, relative_canonical
 from .toric import (
     MonomialIdeal,
     ToricSurfaceModel,
@@ -167,11 +166,13 @@ def numerical_multiplier_divisor(model, z_coeffs, lam: RatLike) -> DivisorVector
     """Divisor-level output for bare resolution models (no coordinate ring):
     the round-up of K^num - pi*_num(lambda Z) with Z given through extras;
     the pair must be effective, as a `PairSpec` must.  An unknown name is
-    reported first, as a cyclic model reports an unknown ray first."""
+    reported first, as a cyclic model reports an unknown ray first.  By
+    linearity the divisor has strict part -lambda Z and exceptional part x
+    with M x = K_Y.E + (lambda Z).E: one solve on the model's steps."""
     lam, z = rat(lam), {name: rat(c) for name, c in z_coeffs.items()}
-    for name in z:
-        model.extra_by_name(name)
+    strict = [model.extra_by_name(name).label for name in z]
     _check_effective(lam, all(c >= 0 for c in z.values()))
-    scaled = {name: lam * c for name, c in z.items()}
-    knum = relative_canonical(model)
-    return (knum - numerical_pullback(model, scaled)).ceil()
+    minus_w = DivisorVector(zip(strict, (-lam * c for c in z.values())))
+    rhs = [k - d for k, d in zip(model.canonical_intersections(), model.intersect_with_curves(minus_w))]
+    x = linalg.substitute(model._steps, rhs)
+    return DivisorVector((label, math.ceil(c)) for label, c in (*minus_w.items(), *zip(model.labels, x)))

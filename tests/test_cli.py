@@ -181,6 +181,29 @@ def test_a_plain_line_loads_no_argparse(monkeypatch):
     assert (imported, loaded, code, help_text) == ([], [], 0, subparsers.choices["discrepancy"].format_help())
 
 
+JOBS_GUARD = """
+import contextlib, io, json, sys
+from surfideals.cli import main
+outs = []
+for jobs in ("8", "1"):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["compare", "catalog", "--primes", "2,3", "--jobs", jobs])
+    outs.append((code, out.getvalue()))
+print(json.dumps(["concurrent.futures" in sys.modules, outs]))
+"""
+
+
+def test_catalog_jobs_run_no_pool():
+    # a fresh interpreter (this one may have imported concurrent.futures):
+    # --jobs 8 loads no executor and prints the bytes of --jobs 1
+    src = str(Path(compare.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", JOBS_GUARD], env=env, capture_output=True, text=True, check=True)
+    loaded, ((code8, out8), (code1, out1)) = json.loads(done.stdout)
+    assert (loaded, code8, code1) == (False, 0, 0)
+    assert out8 == out1 and out1.startswith("{")
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_command_help_is_the_full_parsers(capsys, name):
     # `surfideals <name> -h` prints what the subparser of the full parser prints
@@ -857,7 +880,7 @@ def _count_calls(monkeypatch, module, *names) -> dict[str, int]:
 # command -> (its arguments after the star tree's path, its substitutions)
 STAR_TREE_SOLVES = {
     "discrepancy": ((), 1),
-    "mult-ideal": (("--z", '{"C": "3/2", "D": "1/3"}', "--lambda", "1/2"), 2),
+    "mult-ideal": (("--z", '{"C": "3/2", "D": "1/3"}', "--lambda", "1/2"), 1),
     "pullback": (("--d", '{"C": "1", "D": "2/3"}'), 1),
     "check-negativity": (("--d", '{"E1": "-1", "C": "-1"}'), 0),
 }
@@ -865,8 +888,9 @@ STAR_TREE_SOLVES = {
 
 @pytest.mark.parametrize("command", sorted(STAR_TREE_SOLVES))
 def test_dual_graph_commands_eliminate_once(capsys, monkeypatch, tmp_path, command):
-    # the model's definiteness check is the graph's only elimination: K^num,
-    # the pullback and the discrepancies substitute into its steps
+    # the model's definiteness check is the graph's only elimination: the
+    # discrepancies, the pullback and K^num - pi*_num(lambda Z) substitute
+    # into its steps
     path = tmp_path / "star.json"
     path.write_text(json.dumps(_star_tree()))
     tail, substitutions = STAR_TREE_SOLVES[command]
@@ -977,7 +1001,7 @@ def test_emit_writes_what_json_dumps_writes(doc, shared):
 def _catalog_docs(monkeypatch, reports):
     """The document the `compare catalog --primes 2,3` handler builds when
     the catalog's reports are `reports`, and those reports' own documents."""
-    monkeypatch.setattr(compare, "compare_catalog", lambda primes, map=map: reports)
+    monkeypatch.setattr(compare, "compare_catalog", lambda primes: reports)
     doc = COMMANDS["compare"][1](SimpleNamespace(model="catalog", primes="2,3", jobs=1))
     return doc, [rep.to_dict() for rep in reports]
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_ideal_points
-from surfideals import frobenius
+from surfideals import compare, frobenius
 from surfideals.compare import (
     EQUAL,
     INCOMPARABLE,
@@ -42,18 +42,18 @@ def test_catalog_equals_the_per_entry_reference():
     assert [rep.to_dict() for rep in compare_catalog((2, 3))] == reference
 
 
-def test_catalog_maps_once_over_its_distinct_pairs():
+def test_catalog_maps_once_over_its_distinct_pairs(monkeypatch):
     # the catalog's 450 entries are 225 distinct pairs: (X, 0) six times per model
-    batches = []
+    pairs = []
 
-    def recording_map(fn, pairs):
-        pairs = list(pairs)
-        batches.append(pairs)
-        return map(fn, pairs)
+    def recording(pair, primes):
+        pairs.append(pair)
+        return compare_pair(pair, primes)
 
-    assert len(compare_catalog((2,), map=recording_map)) == 450
-    assert len(batches) == 1 and len(batches[0]) == 225
-    assert len({(p.model.r, p.model.a, p.w_left, p.w_right) for p in batches[0]}) == 225
+    monkeypatch.setattr(compare, "compare_pair", recording)
+    assert len(compare_catalog((2,))) == 450
+    assert len(pairs) == 225
+    assert len({(p.model.r, p.model.a, p.w_left, p.w_right) for p in pairs}) == 225
 
 
 def test_smooth_pair_agrees_everywhere():

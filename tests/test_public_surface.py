@@ -44,18 +44,30 @@ def test_every_export_has_a_use():
     assert sorted(exported - used) == []
 
 
-def test_every_definition_and_parameter_has_a_reader():
-    # dunders are called by Python; self, cls and _-names need no reader
-    sources = [path for path in (ROOT / "src" / "surfideals").glob("*.py") if path.name != "__init__.py"]
-    readers = sources + list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    used = _traced_names().union(*map(_read_names, readers))
+# NamedTuple's own protocol: a subclass overrides these, and Python and the
+# standard library (copy, pickle, `_replace` itself) call them
+NAMEDTUPLE_PROTOCOL = frozenset({"_make", "_replace", "_asdict"})
+
+
+def _is_namedtuple(node: ast.ClassDef) -> bool:
+    return any(isinstance(n, ast.Name) and n.id == "NamedTuple" or isinstance(n, ast.Attribute) and n.attr == "NamedTuple"
+               for base in node.bases for n in ast.walk(base))
+
+
+def _unread(sources: dict[str, str], used: set[str]) -> tuple[list[str], list[str]]:
+    """The definitions in `sources` (module stem -> source) whose name is not
+    in `used`, and the parameters their function's body never reads."""
     unread, unused_params = [], []
-    for path in sources:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for stem, text in sources.items():
+        tree = ast.parse(text)
+        protocol = {id(fn) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and _is_namedtuple(node)
+                    for fn in node.body if isinstance(fn, ast.FunctionDef) and fn.name in NAMEDTUPLE_PROTOCOL}
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
-            where = f"{path.stem}.{node.name}"
-            if not (node.name.startswith("__") and node.name.endswith("__")) and node.name not in used:
+            where = f"{stem}.{node.name}"
+            called_by_python = node.name.startswith("__") and node.name.endswith("__") or id(node) in protocol
+            if not called_by_python and node.name not in used:
                 unread.append(where)
             if isinstance(node, ast.ClassDef):
                 continue
@@ -64,4 +76,43 @@ def test_every_definition_and_parameter_has_a_reader():
             body = {n.id for stmt in node.body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             unused_params += [f"{where}({name})" for name in params
                               if name not in ("self", "cls") and not name.startswith("_") and name not in body]
-    assert (unread, unused_params) == ([], [])
+    return unread, unused_params
+
+
+def test_every_definition_and_parameter_has_a_reader():
+    # dunders and NamedTuple protocol overrides are called by Python; self,
+    # cls and _-names need no reader
+    sources = [path for path in (ROOT / "src" / "surfideals").glob("*.py") if path.name != "__init__.py"]
+    readers = sources + list((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    used = _traced_names().union(*map(_read_names, readers))
+    assert _unread({path.stem: path.read_text(encoding="utf-8") for path in sources}, used) == ([], [])
+
+
+SYNTHETIC = """
+class Pair(NamedTuple("Pair", [("a", int)])):
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+    def _replace(self, **changes):
+        return changes
+
+    def _asdict(self):
+        return {}
+
+
+class Tagged(typing.NamedTuple):
+    def _replace(self, **changes):
+        return changes
+
+
+class Plain:
+    def _replace(self, **changes):
+        return changes
+"""
+
+
+def test_namedtuple_protocol_overrides_count_as_read():
+    # only a NamedTuple subclass's `_make`, `_replace` and `_asdict` are
+    # Python's to call; the same name elsewhere still needs a reader
+    assert _unread({"synthetic": SYNTHETIC}, {"Pair", "Tagged", "Plain"}) == (["synthetic._replace"], [])

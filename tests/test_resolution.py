@@ -9,6 +9,7 @@ from test_acceptance import _random_negative_definite
 from surfideals.divisors import DivisorLabel, DivisorVector
 from surfideals.linalg import solve
 from surfideals.errors import DisconnectedDualGraph, InvalidModel, NonEffectiveGamma, NotNegativeDefinite
+from surfideals.multiplier import numerical_multiplier_divisor
 from surfideals.resolution import (
     ExceptionalCurve,
     Extra,
@@ -251,6 +252,21 @@ def test_pair_inequality_against_two_solves():
         assert pair_inequality_check(model, gamma) == (lhs <= rc)
         pullback = numerical_pullback(model, gamma)
         assert rc - lhs == DivisorVector((label, c) for label, c in pullback.items() if label.kind == "exceptional")
+
+
+def test_multiplier_divisor_against_two_solves():
+    # the one solve of `numerical_multiplier_divisor` against the round-up of
+    # K^num - pi*_num(lambda Z), each side solved for on its own
+    rng = random.Random(2027)
+    D = DivisorLabel("D", "strict-transform")
+    for _ in range(300):
+        base = _random_negative_definite(rng)
+        extras = tuple(Extra(label, tuple(rng.randint(0, 2) for _ in base.curves)) for label in (C, D))
+        model = ResolutionModel(base.curves, base.edges, extras)
+        z = {label.name: Fraction(rng.randint(0, 9), rng.randint(1, 4)) for label in rng.sample((C, D), rng.randint(0, 2))}
+        lam = Fraction(rng.randint(0, 7), rng.randint(1, 5))
+        two_solves = (relative_canonical(model) - numerical_pullback(model, {n: lam * c for n, c in z.items()})).ceil()
+        assert numerical_multiplier_divisor(model, z, lam) == two_solves
 
 
 def test_pair_inequality_fuzz():
