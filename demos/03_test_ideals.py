@@ -11,7 +11,16 @@ below watches it stabilize.  Every function here takes a pair
 
 from fractions import Fraction
 
-from surfideals import CharPContext, PairSpec, hj_resolve, test_ideal, test_ideal_detailed, trace_maps, trace_value
+from surfideals import (
+    CharPContext,
+    PairSpec,
+    hj_resolve,
+    test_ideal,
+    test_ideal_detailed,
+    test_ideal_sweep,
+    trace_maps,
+    trace_value,
+)
 
 # -- the trace map, concretely, on the smooth chart ---------------------------
 smooth = hj_resolve(1, 1)
@@ -35,11 +44,16 @@ print()
 
 # -- strong F-regularity of a quotient, wild prime p = 5 included --------------
 model = hj_resolve(5, 3)
-for p in (2, 5, 7, 31):
-    detail = test_ideal_detailed(PairSpec(model, model.boundary_divisor(), Fraction(2, 3)), CharPContext(p))
+pair = PairSpec(model, model.boundary_divisor(), Fraction(2, 3))
+primes = (2, 5, 7, 31)
+details = [test_ideal_detailed(pair, CharPContext(p)) for p in primes]
+for p, detail in zip(primes, details):
     tau = detail.ideal
     print(
         f"1/5(1,3), W = (2/3) boundary, p = {p}: "
         + ("unit ideal" if tau.is_unit() else f"generators {list(tau.gens)}")
         + f"  [depth {detail.depth_used}]"
     )
+# one sweep closes all four primes in lockstep, sharing what does not depend on p
+same = test_ideal_sweep(pair, primes) == [(detail.ideal.stairs, detail.depth_used) for detail in details]
+print(f"  the lockstep sweep of all four primes gives the same staircases and depths: {same}")

@@ -339,24 +339,26 @@ def cmd_test_ideal(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
-    primes = parse_primes(args.primes)
+    sweep = compare_mod.PrimeSweep(parse_primes(args.primes))
     if args.model == "catalog":
-        reports = compare_mod.compare_catalog(primes)
-        # reports with equal verdicts share one `primes` list, written once
-        written: dict = {}
-        docs = []
+        reports = compare_mod.compare_catalog(sweep)
+        # reports with equal verdicts, or equal multiplier ideals, share one list, written once
+        verdict_docs, gens_docs, docs = {}, {}, []
         for rep in reports:
-            primes_doc = written.get(rep.verdicts)
+            primes_doc = verdict_docs.get(rep.verdicts)
             if primes_doc is None:
-                primes_doc = written[rep.verdicts] = _WrittenOnce(rep.to_dict()["primes"])
-            docs.append(rep.to_dict(primes_doc))
+                primes_doc = verdict_docs[rep.verdicts] = _WrittenOnce([v.to_dict() for v in rep.verdicts])
+            gens_doc = gens_docs.get(rep.multiplier_gens)
+            if gens_doc is None:
+                gens_doc = gens_docs[rep.multiplier_gens] = _WrittenOnce([list(g) for g in rep.multiplier_gens])
+            docs.append(rep.to_dict(primes_doc, gens_doc))
         return {
             "catalog_size": len(reports),
-            "primes": list(primes),
+            "primes": list(sweep.primes),
             "reports": docs,
-            "all_equal": all(rep.all_equal() for rep in reports),
+            "all_equal": all(v.verdict == compare_mod.EQUAL for verdicts in verdict_docs for v in verdicts),
         }
-    report = compare_mod.compare_pair(_pair_from_args(args, load_model(args.model)), primes=primes)
+    report = compare_mod.compare_pair(_pair_from_args(args, load_model(args.model)), primes=sweep)
     return {"report": report.to_dict(), "all_equal": report.all_equal()}
 
 

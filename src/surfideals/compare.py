@@ -3,8 +3,9 @@
 For each pair the characteristic-zero multiplier ideal is computed once
 (its combinatorics are characteristic-free) and the test ideal at each
 prime by one sweep (`frobenius.test_ideal_sweep`), whose closure runs
-all primes in lockstep and shares the work that does not depend on p;
-verdicts are exact staircase comparisons.  The built-in
+all primes in lockstep and shares the work that does not depend on p,
+exactly (by the stable-depth lemma); a sweep's primes are checked once
+(`PrimeSweep`), and verdicts are exact staircase comparisons.  The built-in
 catalog is the desk-scale grid that the acceptance suite and the CLI
 share: every cyclic quotient 1/r(1,a) with 2 <= r <= 12, Z in
 {0, toric boundary}, lambda in {0, 1/2, 2/3, 1, 5/4}.
@@ -34,8 +35,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .divisors import DivisorVector
-from .frobenius import test_ideal_detailed, test_ideal_sweep  # noqa: F401  (an alias perfbench's tracer test reads)
+from .divisors import DivisorVector, _make_checked
+from .frobenius import CharPContext, _sweep, test_ideal_detailed  # noqa: F401  (an alias perfbench's tracer test reads)
 from .multiplier import PairSpec, multiplier_ideal
 from .toric import MonomialIdeal, ToricSurfaceModel, hj_resolve
 
@@ -63,6 +64,22 @@ class PrimeVerdict(NamedTuple):
         return doc
 
 
+class PrimeSweep(NamedTuple("PrimeSweep", [("primes", tuple), ("equal", tuple)])):
+    """A sweep's primes, sorted and each checked once by `CharPContext`, and the derived
+    `PrimeVerdict(p, EQUAL)` of each, which every report equal at p holds; PrimeSweep(sweep) is sweep."""
+
+    __slots__ = ()
+    _make = _make_checked
+
+    def __new__(cls, primes, _equal=None):  # `_make`, `_replace` and pickle pass `equal` back
+        if isinstance(primes, PrimeSweep):
+            return primes
+        primes = tuple(sorted(primes))
+        for p in primes:
+            CharPContext(p)
+        return tuple.__new__(cls, (primes, tuple(PrimeVerdict(p, EQUAL) for p in primes)))
+
+
 class ComparisonReport(NamedTuple):
     pair_id: str
     multiplier_gens: tuple[tuple[int, int], ...]
@@ -72,13 +89,13 @@ class ComparisonReport(NamedTuple):
     def all_equal(self) -> bool:
         return all(v.verdict == EQUAL for v in self.verdicts)
 
-    def to_dict(self, primes=None) -> dict:
-        """The report's JSON document; `primes`, when given, stands in for
-        the list of its verdicts (`compare catalog` passes one list to
-        every report with the same verdicts)."""
+    def to_dict(self, primes=None, multiplier=None) -> dict:
+        """The report's JSON document; `primes` and `multiplier`, when given,
+        stand in for the lists of its verdicts and of J's generators
+        (`compare catalog` passes one list to every report that has it)."""
         return {
             "pair": self.pair_id,
-            "multiplier_ideal": [list(g) for g in self.multiplier_gens],
+            "multiplier_ideal": [list(g) for g in self.multiplier_gens] if multiplier is None else multiplier,
             "primes": [v.to_dict() for v in self.verdicts] if primes is None else primes,
             "stable_from_prime": self.stable_from_prime,
         }
@@ -141,9 +158,10 @@ def _classify(j: MonomialIdeal, tau: MonomialIdeal) -> str:
 
 
 def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> ComparisonReport:
-    """Run the multiplier/test comparison for one pair over a prime sweep
-    (`test_ideal_sweep`); only a test staircase unequal to J's is built
-    into a `MonomialIdeal` and classified.
+    """Run the multiplier/test comparison for one pair over a prime sweep,
+    a `PrimeSweep` taken as checked or primes built into one, by one
+    unchecked `test_ideal_sweep`.  An equal prime gets the sweep's own verdict;
+    only a test staircase unequal to J's is built and classified.
 
     tau included in J needs no separate check: the verdict already decides
     it.  Nor does tau(W + Gamma) included in tau(W) for effective Gamma:
@@ -153,16 +171,16 @@ def compare_pair(pair: PairSpec, primes: Sequence[int] = PRIMES_DEFAULT) -> Comp
     least such ideal, lies inside it (`boundary_containment_check` computes
     both sides).
     """
+    sweep = PrimeSweep(primes)
     model = pair.model
     j = multiplier_ideal(pair)
-    primes = sorted(primes)
     verdicts = []
-    for p, (stairs, _) in zip(primes, test_ideal_sweep(pair, primes)):
+    for equal, (stairs, _) in zip(sweep.equal, _sweep(pair, sweep.primes)):
         if stairs == j.stairs:
-            verdicts.append(PrimeVerdict(p, EQUAL))
+            verdicts.append(equal)
         else:
             tau = MonomialIdeal(model, stairs)
-            verdicts.append(PrimeVerdict(p, _classify(j, tau), tau.gens))
+            verdicts.append(PrimeVerdict(equal.p, _classify(j, tau), tau.gens))
     stable_from = None  # the first prime of the longest all-equal tail
     for v in reversed(verdicts):
         if v.verdict != EQUAL:
@@ -190,9 +208,10 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT) -> list[ComparisonRe
     any other entry is keyed by its Z and the numerator and denominator
     of lambda (a Fraction hashes slowly).  Each distinct key gets one
     `PairSpec`, which validates it; then each distinct pair gets one
-    `compare_pair` call, in order.  Each entry gets that report under its
-    own id.
+    `compare_pair` call, in order, with one `PrimeSweep`.  Each entry gets
+    that report under its own id.
     """
+    sweep = PrimeSweep(primes)
     entries = catalog_entries()
     models = {key: hj_resolve(*key) for key in dict.fromkeys((e.r, e.a) for e in entries)}
     keys, distinct = [], {}
@@ -202,6 +221,6 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT) -> list[ComparisonRe
         if key not in distinct:
             model = models[e.r, e.a]
             distinct[key] = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
-    reports = [compare_pair(pair, primes) for pair in distinct.values()]
+    reports = [compare_pair(pair, sweep) for pair in distinct.values()]
     shared = {key: (rep.multiplier_gens, rep.verdicts, rep.stable_from_prime) for key, rep in zip(distinct, reports)}
     return [ComparisonReport(e.entry_id, *shared[key]) for e, key in zip(entries, keys)]

@@ -34,14 +34,14 @@ delta = (x + 1 - w + c) / q.
   * Fractional w: d |x + 1 - w + c| <= |d (x + 1) - n| + d - 1 < q, so
     |delta| < 1/d <= min(frac w, 1 - frac w) and
     ceil(w - 1 + delta) = floor(w).
-So for every q >= |d (x + 1) - n| + d the corner bound
-max(0, ceil((x + b_v(e)) / q)) of `_trace_image` does not depend on e, and
-the depth-e image of an ideal I is one and the same ideal for every
-e >= E(I), the least e >= 1 with p^e at least that bound over the
-stairs of I and both rays (`_stable_depth`).  Along a staircase sorted
-by s the pairing s rises and t falls, and the bound |d (x + 1) - n| + d
-is convex in x, so its maximum over the stairs sits at the first or the
-last stair: E(I) reads those two stairs only (`_depth_bound`).
+So for every prime power q >= |d (x + 1) - n| + d the corner bound
+max(0, ceil((x + b_v(e)) / q)) of `_trace_image` is w - 1 + [x + 1 > w]
+or floor(w), on neither e nor p: the image of an ideal I at q is one
+ideal for every prime power q at least that bound over the stairs of I
+and both rays; E(I) is the least e >= 1 with p^e at least it.  Along a
+staircase sorted by s the pairing s rises and t falls, and the bound
+|d (x + 1) - n| + d is convex in x, so its maximum over the stairs sits
+at the first or the last stair: it reads those two only (`_depth_bound`).
 
 Semi-naive closure (Bancilhon and Ramakrishnan, 1986).  At a prime p the
 closure runs rounds; each works on Delta, the stairs that the previous
@@ -77,12 +77,13 @@ finds (`_run_corners`): past one pass over Delta to list -t, each depth
 costs O(runs log |Delta|), not |Delta|.
 
 Lockstep.  `_closure` runs a sweep's primes in groups that share the
-ideal and Delta.  A round reads p only through p's twist table, the
-(q, c_l, c_r) at depths 1, 2, ..., so a group computes E's bound, the -t
-of Delta and each containment once.  Each prime extends its own table to
-its own E(Delta) and takes its own corners; primes with the same new
-corners share the next ideal and Delta, so one merge.  So each prime runs
-the rounds of its own closure; from the pair's seed all find floor(W).
+ideal and Delta.  By the lemma all prime powers q at or above the bound
+of Delta give it the same corners: a round takes them once, at the least
+p^E of its primes, as it takes the bound, the -t of Delta and each
+containment.  Primes p at or above the bound share them and one filter;
+a smaller p adds its shallow depths q = p, ..., p^(E - 1).  Primes with
+the same new corners share the next ideal and Delta, so one merge: each
+prime runs its own closure's rounds, and from the seed all find floor(W).
 
 Corollary: tau(X, W) = O_X(-floor(W)), which is J(X, W) (`multiplier`),
 and the closure ends after at most two rounds.  At its stable depth a
@@ -247,15 +248,6 @@ def _depth_bound(nl: int, dl: int, nr: int, dr: int, stairs: tuple[Pair, ...]) -
     return max(dl * (s1 + 2) - nl, nl - dl * s0, dr * (t0 + 2) - nr, nr - dr * t1)
 
 
-def _stable_depth(p: int, bound: int) -> int:
-    """E(I) of the stable-depth lemma: the least e >= 1 with p^e >= `bound`,
-    the `_depth_bound` of I."""
-    e, q = 1, p
-    while q < bound:
-        e, q = e + 1, q * p
-    return e
-
-
 def _run_corners(twists: list[tuple[int, int, int]], delta: tuple[Pair, ...], neg_t: list[int]) -> list[Pair]:
     """The corners ((s + c_l) // q, (t + c_r) // q) of the first stair of
     each run of equal t-corner along the staircase `delta`, at every
@@ -307,52 +299,69 @@ def _closure(model: ToricSurfaceModel, primes: Sequence[int], nl: int, dl: int, 
     `_trace_image` is floor((x + ceil((q - 1) w_v)) / q), as x, w_v >= 0.
     A prime looks up only its minimal corners: sorted, each has t below
     every earlier t.  Returns per prime the staircase and the depth used,
-    the length of its twist table of (q, c_l, c_r) at depths 1, 2, ..."""
-    tables, results = [[] for _ in primes], [None] * len(primes)
-    groups = [(seed, seed, range(len(primes)))]
+    the largest E of its rounds."""
+    depths, results = [1] * len(primes), [None] * len(primes)
+    groups = [(seed, seed, range(len(primes)))] if primes else []
+    twist = lambda q: (q, -((1 - q) * nl // dl), -((1 - q) * nr // dr))  # (q, c_l, c_r)
     while groups:
         stairs, delta, members = groups.pop()
         bound, neg_t = _depth_bound(nl, dl, nr, dr, delta), [-t for _, t in delta]
-        contained, by_new = {}, {}  # corner -> in the ideal; new corners -> their primes
+        deep, by_shallow, least = [], {}, math.inf  # primes with E = 1; shallow depths q < bound -> primes; least p^E >= bound
         for k in members:
-            p, twists = primes[k], tables[k]
-            depth = _stable_depth(p, bound)
-            while len(twists) < depth:
-                q = twists[-1][0] * p if twists else p
-                twists.append((q, -((1 - q) * nl // dl), -((1 - q) * nr // dr)))
+            q = p = primes[k]
+            if p < bound:
+                shallow = []
+                while q < bound:
+                    shallow.append(q)
+                    q *= p
+                if len(shallow) >= depths[k]:
+                    depths[k] = len(shallow) + 1
+                by_shallow.setdefault(tuple(shallow), []).append(k)
+            else:
+                deep.append(k)
+            if q < least:
+                least = q
+        if deep:
+            by_shallow[()] = deep
+        stable = _minimal_stairs(_run_corners([twist(least)], delta, neg_t))
+        contained, by_new = {}, {}  # corner -> in the ideal; new corners -> their primes
+        for shallow, ks in by_shallow.items():
             new, best_t = [], math.inf
-            for corner in sorted(_run_corners(twists[:depth], delta, neg_t)):
+            for corner in sorted([*_run_corners([twist(q) for q in shallow], delta, neg_t), *stable]) if shallow else stable:
                 if corner[1] < best_t:
                     best_t = corner[1]
                     if corner not in contained:
                         contained[corner] = _stairs_contain(stairs, *corner)
                     if not contained[corner]:
                         new.append(corner)
-            by_new.setdefault(tuple(new), []).append(k)
+            by_new.setdefault(tuple(new), []).extend(ks)
         for new, ks in by_new.items():
             grown, fresh = _merge_stairs(stairs, sorted([pair for c in new for pair in corner_stairs(model, *c)]))
             if fresh:
                 groups.append((grown, fresh, ks))
             else:
                 for k in ks:
-                    results[k] = (stairs, len(tables[k]))
+                    results[k] = (stairs, depths[k])
     return results
+
+
+def _sweep(pair: PairSpec, primes: Sequence[int]) -> list[tuple[tuple[Pair, ...], int]]:
+    """`test_ideal_sweep` at primes already checked."""
+    w = (pair.w_left.numerator, pair.w_left.denominator, pair.w_right.numerator, pair.w_right.denominator)
+    return _closure(pair.model, primes, *w, _seed(pair.model, *w))
 
 
 def test_ideal_sweep(pair: PairSpec, primes: Sequence[int]) -> list[tuple[tuple[Pair, ...], int]]:
     """(staircase of tau(X, lambda Z), depth used) at each of `primes`, in
     order, all checked by `CharPContext` first, by one lockstep `_closure`."""
-    for p in primes:
-        CharPContext(p)
-    w = (pair.w_left.numerator, pair.w_left.denominator, pair.w_right.numerator, pair.w_right.denominator)
-    return _closure(pair.model, primes, *w, _seed(pair.model, *w))
+    return _sweep(pair, [CharPContext(p).p for p in primes])
 
 
 def test_ideal_detailed(pair: PairSpec, ctx: CharPContext) -> TestIdealResult:
     """tau(X, lambda Z) with the largest Frobenius depth its closure used:
     a toric pair, validated by `PairSpec`, is its model and two boundary
     coefficients."""
-    ((stairs, depth),) = test_ideal_sweep(pair, (ctx.p,))
+    ((stairs, depth),) = _sweep(pair, (ctx.p,))
     return TestIdealResult(MonomialIdeal(pair.model, stairs), depth)
 
 

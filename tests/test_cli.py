@@ -81,21 +81,16 @@ def test_catalog_bytes_do_not_depend_on_jobs(capsys):
     assert _stdout(capsys, "compare", "catalog", "--primes", "2,3", "--jobs", "2") == one
 
 
-def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
-    # each function is wrapped with a counter wherever a module holds it,
-    # as the benchmark's tracer wraps it: 45 models, 225 distinct pairs,
-    # one lockstep closure per distinct pair, which closes each of its
-    # primes once and returns one result per prime
-    closure = frobenius._closure
-    counted = {compare.compare_pair: 0, closure: 0, toric.hj_resolve: 0}
-    closed = []
+def _count_everywhere(monkeypatch, fns, on_result=lambda fn, args, result: None) -> dict:
+    """Wrap each of `fns` with a counter wherever a `surfideals` module holds
+    it, as the benchmark's tracer wraps it; returns fn -> calls so far."""
+    counted = dict.fromkeys(fns, 0)
 
     def counter(fn):
         def wrapper(*args, **kwargs):
             counted[fn] += 1
             result = fn(*args, **kwargs)
-            if fn is closure:
-                closed.append((tuple(args[1]), len(result)))
+            on_result(fn, args, result)
             return result
         return wrapper
 
@@ -106,9 +101,36 @@ def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
                 for fn, wrapper in wrappers.items():
                     if value is fn:
                         monkeypatch.setattr(mod, key, wrapper)
+    return counted
+
+
+def test_catalog_computes_each_distinct_pair_once(capsys, monkeypatch):
+    # 45 models, 225 distinct pairs, one lockstep closure per distinct pair,
+    # which closes each of its primes once and returns one result per prime
+    closure, closed = frobenius._closure, []
+
+    def record(fn, args, result):
+        if fn is closure:
+            closed.append((tuple(args[1]), len(result)))
+
+    counted = _count_everywhere(monkeypatch, (compare.compare_pair, closure, toric.hj_resolve), record)
     _stdout(capsys, "compare", "catalog", "--primes", "2,3")
     assert list(counted.values()) == [225, 225, 45]
     assert closed == [((2, 3), 2)] * 225
+
+
+def test_catalog_checks_each_prime_once_and_shares_stable_corners(capsys, monkeypatch):
+    # the command's one prime sweep checks each prime once, not once per
+    # pair; each closure round takes the corners of every prime past its
+    # stable-depth bound in one `_run_corners` call
+    context, run_corners = frobenius.CharPContext, frobenius._run_corners
+    counted = _count_everywhere(monkeypatch, (context, run_corners))
+    _stdout(capsys, "compare", "catalog", "--primes", "2,3,5,7")
+    assert counted[context] == 4
+    counted[run_corners] = 0
+    _stdout(capsys, "compare", "catalog")
+    assert counted[context] == 4 + len(compare.PRIMES_DEFAULT)
+    assert counted[run_corners] <= 1791
 
 
 ONE_OF_EACH = [

@@ -14,6 +14,8 @@ from surfideals.compare import (
     PRIMES_DEFAULT,
     TEST_LARGER,
     CatalogEntry,
+    PrimeSweep,
+    PrimeVerdict,
     _classify,
     catalog_entries,
     compare_catalog,
@@ -21,6 +23,7 @@ from surfideals.compare import (
     compare_pair,
 )
 from surfideals.divisors import DivisorVector
+from surfideals.errors import InvalidModel
 from surfideals.frobenius import CharPContext, boundary_containment_check
 from surfideals.multiplier import PairSpec, multiplier_ideal
 from surfideals.toric import RIGHT, MonomialIdeal, _minimal_stairs, corner_stairs, hj_resolve
@@ -63,6 +66,43 @@ def test_smooth_pair_agrees_everywhere():
     assert report.all_equal()
     assert report.stable_from_prime == 2
     assert all(v.verdict == "equal" for v in report.verdicts)
+
+
+def test_an_empty_sweep_gives_an_empty_report():
+    pair = PairSpec(hj_resolve(5, 2), hj_resolve(5, 2).boundary_divisor(), Fraction(2, 3))
+    assert frobenius.test_ideal_sweep(pair, ()) == []
+    report = compare_pair(pair, primes=())
+    assert report.verdicts == () and report.stable_from_prime is None and report.all_equal()
+    assert report.multiplier_gens == multiplier_ideal(pair).gens
+
+
+def test_a_sweep_checks_its_primes_once_and_lends_its_equal_verdicts(monkeypatch):
+    # a `PrimeSweep` sorts and checks its primes when built; `compare_pair`
+    # takes it as checked and gives an equal prime the sweep's own verdict
+    sweep = PrimeSweep((7, 2, 5))
+    assert sweep.primes == (2, 5, 7) and sweep.equal == tuple(PrimeVerdict(p, EQUAL) for p in (2, 5, 7))
+    assert PrimeSweep(sweep) is sweep
+    with pytest.raises(InvalidModel, match="4 is not prime"):
+        PrimeSweep((9, 4))
+    pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(5, 4))
+    checked = []
+    for module in (compare, frobenius):
+        monkeypatch.setattr(module, "CharPContext", lambda p: checked.append(p))
+    monkeypatch.setattr(frobenius, "_closure", _shrunk_closure((5,)))
+    report = compare_pair(pair, sweep)
+    assert checked == [] and [v.verdict for v in report.verdicts] == [EQUAL, MULTIPLIER_LARGER, EQUAL]
+    assert report.verdicts[0] is sweep.equal[0] and report.verdicts[2] is sweep.equal[2]
+    assert report.verdicts[1].p == 5 and report.verdicts[1].test_gens is not None
+
+
+def test_a_bad_prime_is_refused_before_any_closure(monkeypatch):
+    calls = []
+    monkeypatch.setattr(frobenius, "_closure", lambda *args: calls.append(args))
+    pair = PairSpec(SMOOTH, SMOOTH.boundary_divisor(), Fraction(1, 2))
+    for call in (lambda: compare_pair(pair, primes=(2, 4)), lambda: compare_catalog((3, 4))):
+        with pytest.raises(InvalidModel, match="4 is not prime"):
+            call()
+    assert calls == []
 
 
 def test_a1_zero_pair_unit_on_odd_primes():

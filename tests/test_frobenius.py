@@ -16,7 +16,6 @@ from surfideals.frobenius import (
     _merge_stairs,
     _run_corners,
     _seed,
-    _stable_depth,
     _trace_image,
     _twist_bounds,
     boundary_containment_check,
@@ -298,8 +297,19 @@ def _nd(wl, wr):
     return wl.numerator, wl.denominator, wr.numerator, wr.denominator
 
 
+def _stable_depth(p, bound):
+    """E(I) of the stable-depth lemma: the least e >= 1 with p^e >= `bound`,
+    the `_depth_bound` of I."""
+    e = 1
+    while p**e < bound:
+        e += 1
+    return e
+
+
 def test_stable_depth_lemma():
-    # past E(I) = _stable_depth the depth-e image of I does not depend on e
+    # past E(I) the depth-e image of I does not depend on e; nor, at every
+    # prime power q at or above the bound of I, on the prime: any two such
+    # q, of any two primes, give one and the same image
     rng = random.Random(55)
     models = [SMOOTH] + [hj_resolve(r, a) for r in range(2, 31) for a in range(1, r) if math.gcd(r, a) == 1]
     primes = [p for p in range(2, 32) if all(p % d for d in range(2, p))]
@@ -308,15 +318,53 @@ def test_stable_depth_lemma():
         for p in primes:
             wl, wr = (Fraction(rng.randint(0, 36), rng.randint(1, 12)) for _ in range(2))
             ideal = MonomialIdeal.from_points(model, rng.sample(monoid, rng.randint(1, 3)))
-            stable = _stable_depth(p, _depth_bound(*_nd(wl, wr), ideal.stairs))
+            bound = _depth_bound(*_nd(wl, wr), ideal.stairs)
+            stable = _stable_depth(p, bound)
 
-            def image(e):
-                q = p**e
+            def image(q):
                 return _trace_image(model, q, _twist_bounds(q, wl, wr), ideal.stairs)
 
-            at_stable = image(stable)
+            at_stable = image(p**stable)
             for e in range(stable + 1, stable + 8):
-                assert image(e) == at_stable, (model, p, wl, wr, ideal.gens, stable, e)
+                assert image(p**e) == at_stable, (model, p, wl, wr, ideal.gens, stable, e)
+            for other in primes:
+                for e in range(_stable_depth(other, bound), _stable_depth(other, bound) + 2):
+                    assert image(other**e) == at_stable, (model, p, other, wl, wr, ideal.gens, e)
+
+
+def _one_prime_closure(model, p, w, seed):
+    """The closure of `seed` at p as the module docstring states it, with no
+    sharing: each round maps every stair of Delta by `_trace_image` at
+    every depth 1..E(Delta).  Returns the staircase and the largest E."""
+    wl, wr = Fraction(*w[:2]), Fraction(*w[2:])
+    stairs, delta, depth = seed, seed, 0
+    while delta:
+        stable = _stable_depth(p, _depth_bound(*w, delta))
+        depth = max(depth, stable)
+        image = [pair for q in (p**e for e in range(1, stable + 1)) for pair in _trace_image(model, q, _twist_bounds(q, wl, wr), delta)]
+        grown = _minimal_stairs(stairs + tuple(image))
+        stairs, delta = grown, tuple(pair for pair in grown if pair not in stairs)
+    return stairs, depth
+
+
+def test_shared_stable_corners_against_the_one_prime_rounds():
+    # a round's stable corners are taken once, at the least p^E of its
+    # primes, by every prime at or above its bound, and each prime below it
+    # adds only its shallow depths: every staircase and depth is the one that
+    # the rounds of the module docstring give at that prime alone
+    rng = random.Random(98)
+    primes = [p for p in range(2, 100) if is_prime(p)]
+    mixed = 0
+    for _ in range(400):
+        r = rng.randint(2, 60)
+        model = hj_resolve(r, rng.choice([a for a in range(1, r) if math.gcd(r, a) == 1]))
+        w = (rng.randint(0, 30), rng.randint(1, 8), rng.randint(0, 30), rng.randint(1, 8))
+        seed = _seed(model, *w) if rng.random() < 0.3 else corner_stairs(model, rng.randint(0, 6), rng.randint(0, 6))
+        sweep = rng.sample(primes, rng.randint(1, 6))
+        bound = _depth_bound(*w, seed)
+        mixed += min(sweep) < bound <= max(sweep)
+        assert _closure(model, sweep, *w, seed) == [_one_prime_closure(model, p, w, seed) for p in sweep], (model, sweep, w, seed)
+    assert mixed >= 100
 
 
 def _all_stairs_bound(wl, wr, stairs):
@@ -337,10 +385,6 @@ def test_depth_bound_reads_the_end_stairs():
             wl, wr = (Fraction(rng.randint(0, 200), rng.randint(1, 40)) for _ in range(2))
             bound = _all_stairs_bound(wl, wr, stairs)
             assert _depth_bound(*_nd(wl, wr), stairs) == bound, (model, stairs, wl, wr)
-            p, e = rng.choice((2, 3, 5, 7, 31)), 1
-            while p**e < bound:
-                e += 1
-            assert _stable_depth(p, bound) == e, (model, stairs, wl, wr, p)
 
 
 def test_run_start_corners_have_the_minimal_corners_of_every_stair():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from surfideals import frobenius
-from surfideals.compare import EQUAL, CatalogEntry, ComparisonReport, PrimeVerdict
+from surfideals.compare import EQUAL, CatalogEntry, ComparisonReport, PrimeSweep, PrimeVerdict
 from surfideals.divisors import DivisorLabel, DivisorVector
 from surfideals.errors import BadParameters, InvalidModel
 from surfideals.multiplier import PairSpec
@@ -32,6 +32,7 @@ BUILDERS = {
     "TestIdealResult": lambda: frobenius.TestIdealResult(MonomialIdeal(hj_resolve(2, 1), ((0, 0),)), 1),
     "ComparisonReport": lambda: ComparisonReport("cyclic:2/1|z=zero|lam=0", ((0, 0),), (PrimeVerdict(2, EQUAL),), 2),
     "CatalogEntry": lambda: CatalogEntry(3, 1, "boundary", Fraction(1, 2)),
+    "PrimeSweep": lambda: PrimeSweep((5, 2, 3)),
 }
 
 
@@ -90,6 +91,7 @@ CHECKED = {
     "PairSpec": ({"lam": 2}, PairSpec(MODEL, MODEL.boundary_divisor(), 2), {"lam": -1},
                  (MODEL, MODEL.boundary_divisor(), 0.5), (InvalidModel, TypeError)),
     "CharPContext": ({"p": 7}, frobenius.CharPContext(7), {"p": 4}, (9,), InvalidModel),
+    "PrimeSweep": ({"primes": (7, 3)}, PrimeSweep((3, 7)), {"primes": (4,)}, ((9,), ()), InvalidModel),
 }
 
 
