@@ -333,7 +333,7 @@ def cmd_jumps(args) -> dict:
 
 
 def cmd_test_ideal(args) -> dict:
-    ctx = CharPContext(args.p)  # the prime first, as `compare` checks --primes first
+    ctx = CharPContext(*parse_primes(str(args.p)))  # the prime first, as `compare` checks --primes first
     ideal = frobenius.test_ideal(_pair_from_args(args, load_model(args.model)), ctx)
     return {"ideal": ideal_doc(ideal), "p": args.p}
 

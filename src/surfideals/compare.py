@@ -105,14 +105,6 @@ def pair_id(r: int, a: int, z_kind: str, lam: Fraction) -> str:
     return f"cyclic:{r}/{a}|z={z_kind}|lam={lam}"
 
 
-def z_divisor(model: ToricSurfaceModel, z_kind: str) -> DivisorVector:
-    if z_kind == "zero":
-        return DivisorVector.zero()
-    if z_kind == "boundary":
-        return model.boundary_divisor()
-    raise ValueError(f"unknown Z choice {z_kind!r}")
-
-
 class CatalogEntry(NamedTuple):
     r: int
     a: int
@@ -126,9 +118,11 @@ class CatalogEntry(NamedTuple):
     def model(self) -> ToricSurfaceModel:
         return hj_resolve(self.r, self.a)
 
-    def pair(self) -> PairSpec:
-        model = self.model()
-        return PairSpec(model, z_divisor(model, self.z_kind), self.lam)
+    def pair(self, model: Optional[ToricSurfaceModel] = None) -> PairSpec:
+        """The entry's pair, on `model` when the caller has resolved (r, a) already."""
+        model = self.model() if model is None else model
+        z = {"zero": DivisorVector.zero(), "boundary": model.boundary_divisor()}[self.z_kind]
+        return PairSpec(model, z, self.lam)
 
 
 def catalog_entries() -> tuple[CatalogEntry, ...]:
@@ -219,8 +213,7 @@ def compare_catalog(primes: Sequence[int] = PRIMES_DEFAULT) -> list[ComparisonRe
         key = (e.r, e.a) if e.z_kind == "zero" or not e.lam else (e.r, e.a, e.z_kind, e.lam.numerator, e.lam.denominator)
         keys.append(key)
         if key not in distinct:
-            model = models[e.r, e.a]
-            distinct[key] = PairSpec(model, z_divisor(model, e.z_kind), e.lam)
+            distinct[key] = e.pair(models[e.r, e.a])
     reports = [compare_pair(pair, sweep) for pair in distinct.values()]
     shared = {key: (rep.multiplier_gens, rep.verdicts, rep.stable_from_prime) for key, rep in zip(distinct, reports)}
     return [ComparisonReport(e.entry_id, *shared[key]) for e, key in zip(entries, keys)]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -96,9 +96,8 @@ def negative_continued_fraction(num: int, den: int) -> tuple[int, ...]:
 
 class ToricSurfaceModel(NamedTuple("ToricSurfaceModel", [("r", int), ("a", int)])):
     """Resolved cyclic quotient 1/r(1,a), with (1, 1) the smooth chart; any other
-    (r, a) is refused at construction.  It is the tuple (r, a), so equality and
-    cache keys read two ints; the rest is derived once, into the instance dict
-    that the class keeps by declaring no `__slots__`."""
+    (r, a) is refused at construction.  It is the tuple (r, a); the rest is derived
+    once, into the instance dict that the class keeps by declaring no `__slots__`."""
 
     v_left = (0, 1)
     _make = _make_checked
@@ -251,17 +250,16 @@ def section_module_min_gens(model: ToricSurfaceModel, bounds: Mapping[str, int])
     if LEFT not in bounds or RIGHT not in bounds:
         raise InvalidModel("section bounds must constrain both boundary rays")
     exc = tuple((model.ray(name), c) for name, c in sorted((str(k), int(v)) for k, v in bounds.items() if k not in (LEFT, RIGHT)))
-    stairs = _section_min_gens_cached(model, int(bounds[LEFT]), int(bounds[RIGHT]), exc)
+    stairs = _section_stairs(model, int(bounds[LEFT]), int(bounds[RIGHT]), exc)
     return tuple(sorted(map(model.point, stairs)))
 
 
 def corner_stairs(model: ToricSurfaceModel, s_min: int, t_min: int) -> tuple[Pair, ...]:
     """Staircase of the corner module {u : s >= s_min, t >= t_min}."""
-    return _section_min_gens_cached(model, s_min, t_min, ())
+    return _section_stairs(model, s_min, t_min, ())
 
 
-@lru_cache(maxsize=None)
-def _section_min_gens_cached(
+def _section_stairs(
     model: ToricSurfaceModel, c_left: int, c_right: int, exc_bounds: tuple[tuple[Point, int], ...]
 ) -> tuple[Pair, ...]:
     """Staircase of {u : s >= c_left, t >= c_right, <u, v> >= c for each
@@ -276,21 +274,22 @@ def _section_min_gens_cached(
     r, neg_a = model.v_right
     exc = [(c * r, r * v1 - neg_a * v0, v0) for (v0, v1), c in exc_bounds]
 
-    # The scan stops at t = c_right, the least t (no later pair is minimal).
-    # t exceeds c_right while some exceptional bound does; after that
-    # -a s runs through every class mod r: r steps at most.
-    pairs = []
+    # s rises, so a pair is a stair iff its t is below every earlier t.  The scan
+    # stops at t = c_right, the least t; t exceeds it while some exceptional bound
+    # does, and after that -a s runs through every class mod r: r steps at most.
+    stairs = []
+    low = math.inf
     for s in range(c_left, c_left + ENUMERATION_LIMIT):
         t = c_right
         for cs, alpha, beta in exc:
             t = max(t, _ceildiv(cs - alpha * s, beta))
         t += (s * neg_a - t) % r
-        pairs.append((s, t))
-        if t == c_right:
-            break
-    else:
-        raise EnumerationLimitExceeded("section enumeration exceeds the desk-scale bound")
-    return _minimal_stairs(pairs)
+        if t < low:
+            stairs.append((s, t))
+            low = t
+            if t == c_right:
+                return tuple(stairs)
+    raise EnumerationLimitExceeded("section enumeration exceeds the desk-scale bound")
 
 
 # -- monomial ideals -------------------------------------------------------
@@ -359,7 +358,7 @@ def pushforward_sections(model: ToricSurfaceModel, d: DivisorVector) -> Monomial
     bounds = {label.name: -int(c) for label, c in d.items()}
     c_left, c_right = (max(0, bounds.pop(name, 0)) for name in (LEFT, RIGHT))
     exc = tuple((model.ray(name), c) for name, c in bounds.items())
-    return MonomialIdeal(model, _section_min_gens_cached(model, c_left, c_right, exc))
+    return MonomialIdeal(model, _section_stairs(model, c_left, c_right, exc))
 
 
 def m_limiting_relative_canonical(model: ToricSurfaceModel, m: int) -> DivisorVector:

@@ -8,12 +8,15 @@ is equality or containment of exact rational/lattice data).
 import hashlib
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import surfideals
 from surfideals.compare import catalog_entries, compare_entry
 from surfideals.divisors import DivisorLabel, DivisorVector, floor_inequality_check
 from surfideals.frobenius import CharPContext, boundary_containment_check
@@ -250,9 +253,11 @@ def test_criterion_7_containment_suites():
 
 def test_criterion_8_determinism_across_jobs():
     cmd = [sys.executable, "-m", "surfideals.cli", "compare", "catalog", "--primes", "2,3,5,7,11,13,17,19,23,29,31"]
+    src = str(Path(surfideals.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     runs = []
     for jobs in ("1", "8"):
-        proc = subprocess.run(cmd + ["--jobs", jobs], capture_output=True, timeout=900)
+        proc = subprocess.run(cmd + ["--jobs", jobs], env=env, capture_output=True, timeout=900)
         assert proc.returncode == 0, proc.stderr.decode()[:500]
         runs.append(proc.stdout)
     identical = runs[0] == runs[1]

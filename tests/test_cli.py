@@ -322,6 +322,7 @@ def test_negative_rational_reaches_the_handler_in_every_spelling(capsys, command
         (("pullback", "cyclic:5/2", "--d", '{"X": "1"}'), "InvalidModel", "model has no extra divisor named 'X'"),
         (("check-negativity", "cyclic:5/2", "--d", '{"X": "-1"}'), "BadParameters", "unknown divisor label 'X'"),
         (("mult-ideal", "cyclic:5/2", "--z", '{"X": "1"}'), "InvalidModel", "model has no ray named 'X'"),
+        (("test-ideal", "cyclic:5/2", "--p", "4"), "BadParameters", "4 is not prime"),
     ],
 )
 def test_bad_labels_and_primes_are_typed_errors(capsys, argv, error, message):
@@ -717,8 +718,7 @@ def test_every_toric_command_is_checked_for_linear_algebra():
 @pytest.mark.parametrize("argv", sorted(TORIC_PATH_SHA256))
 def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
     # K^num is linear on a toric model, so no intersection matrix is built
-    # or solved: each function below raises wherever it is referenced, and
-    # the caches are emptied so that no earlier result hides a call
+    # or solved: each function below raises wherever it is referenced
     forbidden = (linalg.solve, linalg.substitute, linalg._eliminate, linalg.is_negative_definite, toric.to_resolution)
 
     def refuse(*args, **kwargs):
@@ -729,38 +729,23 @@ def test_toric_commands_solve_no_linear_system(capsys, monkeypatch, argv):
         for key, value in list(vars(mod).items()):
             if any(value is fn for fn in forbidden):
                 monkeypatch.setattr(mod, key, refuse)
-            elif callable(getattr(value, "cache_clear", None)) and getattr(value, "__module__", "").startswith("surfideals"):
-                value.cache_clear()
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TORIC_PATH_SHA256[argv]
 
 
-def test_the_section_cache_is_the_only_cache_and_sees_only_models(capsys, monkeypatch):
-    # a toric model equals, and hashes as, the plain tuple (r, a), so a cache
-    # that a tuple key could reach would mix the two: the one functools cache
-    # of the package is keyed by models only, and a new cache fails here
-    # until it is reviewed
+def test_the_package_holds_no_functools_cache():
+    # the package keeps no state between calls: a section staircase lives as
+    # long as the result that read it, so a sweep over many models in one
+    # process keeps none of them; a new cache fails here until it is reviewed
     modules = [importlib.import_module(f"surfideals.{info.name}") for info in pkgutil.iter_modules(surfideals.__path__)]
     scopes = [(mod, mod.__name__, vars(mod)) for mod in modules]
     scopes += [(mod, f"{mod.__name__}.{name}", vars(cls)) for mod in modules for name, cls in vars(mod).items()
                if isinstance(cls, type) and cls.__module__ == mod.__name__]
     caches = {f"{where}.{name}" for mod, where, scope in scopes for name, value in scope.items()
               if hasattr(value, "cache_info") and getattr(value, "__module__", None) == mod.__name__}
-    assert caches == {"surfideals.toric._section_min_gens_cached"}
-    cached, keys = toric._section_min_gens_cached, []
-
-    def guarded(model, *args):
-        assert type(model) is toric.ToricSurfaceModel, model
-        keys.append(model)
-        return cached(model, *args)
-
-    monkeypatch.setattr(toric, "_section_min_gens_cached", guarded)
-    for argv in [("compare", "catalog"), *{argv[0]: argv for argv in sorted(TORIC_PATH_SHA256)}.values()]:
-        assert main(list(argv)) == 0, argv
-        capsys.readouterr()
-    assert {(model.r, model.a) for model in keys} >= {(12, 7), (13, 5), (9, 2), (11, 4)}
+    assert caches == set()
 
 
 @pytest.mark.parametrize("kind", ["address", "file"])
@@ -947,7 +932,6 @@ def test_toric_commands_build_few_labels_per_ray(capsys, monkeypatch, argv):
     # n labels per ray; a model builds its labels once, so a command on the
     # fan builds at most one per ray (deterministic, unlike a time limit)
     rays = len(hj_resolve(1009, 1008).rays())
-    toric._section_min_gens_cached.cache_clear()
     built = []
     new = DivisorLabel.__new__
 

@@ -48,7 +48,7 @@ def test_fields_cannot_be_reassigned_and_equal_values_hash_equal(name):
 
 
 def test_a_toric_model_is_its_r_and_a():
-    # section caches are keyed by the model: it must compare and hash as (r, a)
+    # a model is its (r, a): it compares and hashes as that tuple
     model = hj_resolve(7, 3)
     assert model._fields == ("r", "a") and model == (7, 3) and hash(model) == hash((7, 3))
     assert model.hj == (3, 2, 2) and set(vars(model)) == {"hj"}  # derived values live beside the fields
